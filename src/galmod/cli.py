@@ -13,16 +13,19 @@ import sys
 
 from . import __version__
 from .datum import (
-    HypothesisError,
     InconsistencyError,
     e_ranks,
     level_from_str,
     level_str,
     load_datum,
     save_datum,
+    validate,
 )
 from .decompose import (
+    all_clauses_pass,
+    check_shape,
     decompose,
+    decomposition_to_json,
     load_decomposition,
     save_decomposition,
     verify,
@@ -82,7 +85,6 @@ def _parser() -> argparse.ArgumentParser:
     p_jor.add_argument("--in", dest="infile", required=True)
 
     p_self = sub.add_parser("selftest", help="run the acceptance sweep")
-    p_self.add_argument("--jobs", type=int, default=1)
     p_self.add_argument("--dim-cap", type=int, default=120)
     p_self.add_argument("--quick", action="store_true", help="smaller sweep")
 
@@ -118,12 +120,10 @@ def _cmd_decompose(args) -> int:
         return EXIT_INVALID
     try:
         dec = decompose(d)
-    except (ValueError, HypothesisError) as exc:
-        print(f"invalid datum: {exc}", file=sys.stderr)
+    except ValueError as exc:  # HypothesisError is a ValueError
+        reason = str(exc).removeprefix("invalid datum: ")
+        print(f"invalid datum: {reason}", file=sys.stderr)
         return EXIT_INVALID
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     if args.out:
         save_decomposition(dec, args.out)
     if args.format == "table":
@@ -134,10 +134,18 @@ def _cmd_decompose(args) -> int:
         print(f"blocks       : {dec.block_multiset()}")
         print(f"dim J        : {d.J.dim}")
     else:
-        from .decompose import decomposition_to_json
-
         print(json.dumps(decomposition_to_json(dec), indent=1))
     return EXIT_OK
+
+
+def _print_report(report: dict) -> int:
+    """One pass/FAIL line per clause, then the notes; the exit code."""
+    for k, v in report.items():
+        if not k.startswith("_"):
+            print(f"{'pass' if v else 'FAIL'}  {k}")
+    for note in report.get("_notes", []):
+        print(f"note  {note}")
+    return EXIT_OK if all_clauses_pass(report) else EXIT_VERIFY_FAIL
 
 
 def _cmd_verify(args) -> int:
@@ -147,15 +155,16 @@ def _cmd_verify(args) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = verify(dec, d)
-    failed = [k for k, v in report.items() if not k.startswith("_") and not v]
-    for k, v in report.items():
-        if k.startswith("_"):
-            continue
-        print(f"{'pass' if v else 'FAIL'}  {k}")
-    for note in report.get("_notes", []):
-        print(f"note  {note}")
-    return EXIT_OK if not failed else EXIT_VERIFY_FAIL
+    violations = validate(d)
+    if violations:
+        print("invalid datum: " + "; ".join(violations), file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        check_shape(dec, d)
+    except ValueError as exc:
+        print(f"invalid decomposition: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    return _print_report(verify(dec, d))
 
 
 def _cmd_invariants(args) -> int:
@@ -166,15 +175,7 @@ def _cmd_invariants(args) -> int:
         return EXIT_INVALID
     from .invariants import lemma_property_suite
 
-    report = lemma_property_suite(d)
-    failed = [k for k, v in report.items() if not k.startswith("_") and not v]
-    for k, v in report.items():
-        if k.startswith("_"):
-            continue
-        print(f"{'pass' if v else 'FAIL'}  {k}")
-    for note in report.get("_notes", []):
-        print(f"note  {note}")
-    return EXIT_OK if not failed else EXIT_VERIFY_FAIL
+    return _print_report(lemma_property_suite(d))
 
 
 def _cmd_local(args) -> int:
@@ -217,7 +218,7 @@ def _cmd_jordan(args) -> int:
 def _cmd_selftest(args) -> int:
     from .sweep import run_sweep
 
-    result = run_sweep(jobs=args.jobs, dim_cap=args.dim_cap, quick=args.quick)
+    result = run_sweep(dim_cap=args.dim_cap, quick=args.quick)
     for line in result.lines:
         print(line)
     print(
@@ -238,7 +239,11 @@ def main(argv=None) -> int:
         "jordan": _cmd_jordan,
         "selftest": _cmd_selftest,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (AssertionError, InconsistencyError) as exc:
+        print(f"inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

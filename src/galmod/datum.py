@@ -140,6 +140,9 @@ def validate(d: GaloisDatum) -> list[str]:
         if lv.space.n != i:
             v.append(f"level {i}: space height {lv.space.n} != {i}")
             continue
+        if lv.a_class is not None and lv.a_class.shape != (di,):
+            v.append(f"level {i}: a_class shape {lv.a_class.shape} != ({di},)")
+            continue
 
         # equivariance
         if not np.array_equal(
@@ -160,12 +163,16 @@ def validate(d: GaloisDatum) -> list[str]:
             v.append(f"level {i}: eps o norm != (sigma-1)^(p^{n}-p^{i})")
 
         # inter-norm coherence: norm_j = inter_norm[i->j] o norm_i
+        inter = {}
         for j, mtx in lv.inter_norm.items():
-            if j >= i:
+            if not 0 <= j < i:
                 v.append(f"level {i}: inter_norm target {j} is not below {i}")
-                continue
-            if not np.array_equal((mtx @ lv.norm) % p, d.levels[j].norm % p):
-                v.append(f"level {i}: inter_norm to {j} breaks norm coherence")
+            elif mtx.shape != (d.levels[j].space.dim, di):
+                v.append(f"level {i}: inter_norm to {j} has shape {mtx.shape}")
+            else:
+                inter[j] = mtx
+                if not np.array_equal((mtx @ lv.norm) % p, d.levels[j].norm % p):
+                    v.append(f"level {i}: inter_norm to {j} breaks norm coherence")
 
         # kernel of eps
         ker = fl.kernel(lv.eps, p)
@@ -186,7 +193,7 @@ def validate(d: GaloisDatum) -> list[str]:
 
         # a-chain under inter-norms
         if lv.a_class is not None:
-            for j, mtx in lv.inter_norm.items():
+            for j, mtx in inter.items():
                 aj = d.levels[j].a_class
                 if aj is None:
                     continue
@@ -240,11 +247,8 @@ def e_ranks(d: GaloisDatum) -> list[int]:
     classes of the norms from K_i; e_i = dim(V_i / V_{i+1}) and
     e_n = dim V_n.  The filtration must be nested.
     """
-    p, n = d.p, d.n
-    spaces = []
-    for i in range(n + 1):
-        op = d.op_pow(p**i - 1)
-        spaces.append(fl.apply_to_space(op, d.eps_image(i)))
+    n = d.n
+    spaces = norm_filtration(d)
     for i in range(n):
         if not spaces[i].contains_space(spaces[i + 1]):
             raise InconsistencyError(f"filtration not nested at level {i}")
@@ -293,21 +297,6 @@ def _norm0_nonvanishing(d: GaloisDatum, s: Subspace) -> Array | None:
     for row in s.basis:
         if np.any((norm0 @ row) % d.p):
             return row.copy()
-    return None
-
-
-def raw_exceptional_level(d: GaloisDatum):
-    """min{i : the norm-to-F class map does not vanish on S_i}.
-
-    This is the class-level minimum underlying the definition of the
-    invariant; it needs xi_p in the base but no p=2 bookkeeping, which is
-    exactly how the restriction corollary consumes it.
-    """
-    if not d.xi_in_F:
-        raise HypothesisError("xi_p not in F")
-    for i in [NEG_INF, *range(d.n)]:
-        if _norm0_nonvanishing(d, candidate_space(d, i)) is not None:
-            return i
     return None
 
 
@@ -384,18 +373,11 @@ def i_via_theorem3(d: GaloisDatum):
     some H_{s (+) 1}-fixed class.  Always equals exceptional_search(d).m on
     data coming from a genuine extension."""
     check_definition_hypotheses(d)
-    for s in [NEG_INF, *range(d.n)]:
-        i1 = dotplus1(s)
-        fixed = d.fixed(i1)
-        if fixed.dim == 0:
-            continue
-        if np.any((d.levels[i1].norm @ fixed.basis.T) % d.p):
-            return s
-    raise InconsistencyError("no level qualifies; J must be zero")
+    return theorem3_level_raw(d)
 
 
 def theorem3_level_raw(d: GaloisDatum):
-    """Same minimum as i_via_theorem3 but gated only on xi_p, the form the
+    """The minimum of i_via_theorem3 gated only on xi_p, the form the
     restriction corollary needs for quadratic sub-extensions at p = 2."""
     if not d.xi_in_F:
         raise HypothesisError("xi_p not in F")

@@ -177,6 +177,26 @@ def predicted_subfield_image(dec: Decomposition, d: GaloisDatum, i: int) -> Subs
     return fl.sub_sum(x_part, y_fixed)
 
 
+def check_shape(dec: Decomposition, d: GaloisDatum):
+    """Raise ValueError unless dec has the shape of a decomposition of d."""
+    if (dec.p, dec.n) != (d.p, d.n):
+        raise ValueError(
+            f"decomposition has p={dec.p}, n={dec.n} but the datum has p={d.p}, n={d.n}"
+        )
+    if dec.m not in (None, NEG_INF) and not 0 <= dec.m < d.n:
+        raise ValueError(f"m = {dec.m} is not -inf or a level in 0..{d.n - 1}")
+    if (dec.m is None) != (dec.x_generator is None):
+        raise ValueError("x_generator must be given exactly when m is set")
+    vectors = [] if dec.x_generator is None else [("x_generator", dec.x_generator)]
+    for k, (lvl, w) in enumerate(dec.y_generators):
+        if not 0 <= lvl <= d.n:
+            raise ValueError(f"y_generators[{k}] has level {lvl} outside 0..{d.n}")
+        vectors.append((f"y_generators[{k}].coords", w))
+    for name, w in vectors:
+        if w.shape != (d.J.dim,):
+            raise ValueError(f"{name} has shape {w.shape}, expected ({d.J.dim},)")
+
+
 def verify(dec: Decomposition, d: GaloisDatum) -> dict:
     """Re-check every theorem clause; returns {clause id: bool} plus notes.
 

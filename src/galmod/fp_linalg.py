@@ -10,6 +10,7 @@ All operations are pure; nothing here mutates its inputs.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,6 @@ def identity(n: int) -> Array:
 
 def zeros(rows: int, cols: int) -> Array:
     return np.zeros((rows, cols), dtype=np.int64)
-
-
-def matmul(a: Array, b: Array, p: int) -> Array:
-    return (a @ b) % p
 
 
 def mat_pow(a: Array, k: int, p: int) -> Array:
@@ -142,6 +139,28 @@ def solve(a: Array, b: Array, p: int):
     for row, col in enumerate(pivots):
         x[col] = r[row, n]
     return x
+
+
+def random_invertible(p: int, dim: int, rng: random.Random) -> Array:
+    """A random invertible dim x dim matrix: uniform draws from rng,
+    repeated until one has full rank."""
+    while True:
+        mat = np.array(
+            [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)],
+            dtype=np.int64,
+        )
+        if rank(mat, p) == dim:
+            return mat
+
+
+def inverse(a: Array, p: int) -> Array:
+    """The inverse of a square matrix over F_p; ValueError if singular."""
+    n = a.shape[0]
+    aug = np.concatenate([a % p, identity(n)], axis=1)
+    r, pivots = rref(aug, p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return r[:, n:]
 
 
 class Echelon:
@@ -232,16 +251,6 @@ class Subspace:
             ech.add(row)
         return all(ech.contains(row) for row in other.basis)
 
-    def vectors(self):
-        """Iterate all p^dim vectors of the subspace (small spaces only)."""
-        from itertools import product
-
-        for coeffs in product(range(self.p), repeat=self.dim):
-            v = np.zeros(self.ambient, dtype=np.int64)
-            for c, row in zip(coeffs, self.basis):
-                v = (v + c * row) % self.p
-            yield v
-
 
 def span(p: int, ambient: int, rows) -> Subspace:
     """Canonical subspace spanned by the given row vectors."""
@@ -303,11 +312,6 @@ def sub_complement(u: Subspace, v: Subspace) -> Subspace:
         ech.add(row)
     picked = [row for row in u.basis if ech.add(row)]
     return span(u.p, u.ambient, np.array(picked).reshape(-1, u.ambient))
-
-
-def quotient_basis(u: Subspace, v: Subspace) -> Subspace:
-    """Coset representatives for U/V, realized as the canonical complement."""
-    return sub_complement(u, v)
 
 
 def kernel_matrix(a: Array, p: int) -> Array:

@@ -43,6 +43,18 @@ def make_module(p: int, n: int, sigma) -> GModule:
     return GModule(p, n, dim, sigma)
 
 
+def jordan_sigma(p: int, sizes: list[int]) -> Array:
+    """Unipotent sigma with one Jordan block per size: (sigma-1) b_j = b_{j+1}."""
+    dim = sum(sizes)
+    s = fl.identity(dim)
+    pos = 0
+    for size in sizes:
+        for j in range(size - 1):
+            s[pos + j + 1, pos + j] = 1
+        pos += size
+    return s % p
+
+
 def op(m: GModule) -> Array:
     """The nilpotent operator sigma - 1."""
     return (m.sigma - fl.identity(m.dim)) % m.p

@@ -18,6 +18,7 @@ from .datum import (
     NEG_INF,
     GaloisDatum,
     HypothesisError,
+    InconsistencyError,
     exceptional_search,
     i_via_theorem3,
     solve_norm_equation,
@@ -79,8 +80,6 @@ def norm_lemma_check(d: GaloisDatum, report: dict):
 
 def exceptional_checks(d: GaloisDatum, report: dict, seed: int = 0):
     """Minimal-length and generator-independence facts about delta."""
-    from .datum import InconsistencyError
-
     try:
         rep = exceptional_search(d)
     except HypothesisError:
@@ -103,7 +102,6 @@ def exceptional_checks(d: GaloisDatum, report: dict, seed: int = 0):
     ok = True
     ell = gmod.length(d.J, rep.delta)
     for _ in range(5):
-        omega = np.zeros(d.J.dim, dtype=np.int64)
         c0 = rng.randrange(1, p)
         omega = (c0 * rep.delta) % p
         acc = rep.delta
@@ -152,8 +150,6 @@ def solve_norm_equation_checks(d: GaloisDatum, report: dict, seed: int = 0):
 
     def norm_class_zero(v) -> bool:
         return not np.any((norm0 @ v) % p)
-
-    from .datum import InconsistencyError
 
     m_val = None
     if d.xi_in_F:
@@ -210,24 +206,9 @@ def submodule_subfield_identity(p: int, n: int, blocks: int, seed: int) -> bool:
     """The free-module identity on a random conjugated free module:
     fixed points of H_i equal the image of (sigma-1)^(p^n - p^i)."""
     rng = random.Random((p, n, blocks, seed).__repr__())
-    size = p**n
-    dim = size * blocks
-    sigma = fl.identity(dim)
-    for b in range(blocks):
-        for j in range(size - 1):
-            sigma[b * size + j + 1, b * size + j] = 1
-    sigma %= p
-    while True:
-        pmat = np.array(
-            [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)],
-            dtype=np.int64,
-        )
-        if fl.rank(pmat, p) == dim:
-            break
-    aug = np.concatenate([pmat, fl.identity(dim)], axis=1)
-    r, _ = fl.rref(aug, p)
-    pinv = r[:, dim:]
-    m = gmod.make_module(p, n, (pmat @ sigma @ pinv) % p)
+    sigma = gmod.jordan_sigma(p, [p**n] * blocks)
+    pmat = fl.random_invertible(p, sigma.shape[0], rng)
+    m = gmod.make_module(p, n, (pmat @ sigma @ fl.inverse(pmat, p)) % p)
     for i in range(n + 1):
         lhs = gmod.fixed_points(m, i)
         rhs = fl.image(gmod.op_pow(m, p**n - p**i), p)

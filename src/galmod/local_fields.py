@@ -1023,16 +1023,6 @@ def make_tower(p: int, kind: str, n: int, precision: int) -> LocalTower:
     return LocalTower(p, kind, n, precision)
 
 
-def pth_power_class_basis(tower: LocalTower, i: int):
-    """(basis elements of J(K_i), coordinate function) for a tower level."""
-    basis = tower.class_basis(i)
-
-    def class_of(x: LFElement) -> Array:
-        return tower.class_of(i, x)
-
-    return basis, class_of
-
-
 def kummer_generators(tower: LocalTower) -> list[LFElement]:
     """The norm-coherent chain (a_{n-1}, ..., a_0); cyclotomic towers only.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -23,7 +22,6 @@ from .datum import (
     exceptional_search,
     i_via_theorem3,
     level_str,
-    validate,
 )
 from .decompose import all_clauses_pass, corollary3_check, decompose, verify
 from .gmod import jordan_type
@@ -87,26 +85,18 @@ def enumerate_sweep(dim_cap: int = 120, per_cell: int = 9, seed: int = 20240801)
     return out
 
 
-def _expected_m(params: SynthParams):
-    return params.m
-
-
 def run_instance(params: SynthParams, result: SweepResult):
     key = (
         f"p={params.p} n={params.n} m={level_str(params.m)} e={list(params.e)}"
         f" shuffle={params.shuffle_seed}"
     )
     d = synthesize(params)
-    violations = validate(d)
-    if violations:
-        result.fail("roundtrip", f"{key}: validate: {violations}")
-        return
     try:
         dec = decompose(d)
     except Exception as exc:  # noqa: BLE001 - sweeps report, never crash
         result.fail("roundtrip", f"{key}: decompose raised {exc}")
         return
-    if dec.m != _expected_m(params) or dec.y_ranks() != params.y_ranks():
+    if dec.m != params.m or dec.y_ranks() != params.y_ranks():
         result.fail(
             "roundtrip",
             f"{key}: got (m={level_str(dec.m)}, ranks={dec.y_ranks()})",
@@ -128,12 +118,8 @@ def run_instance(params: SynthParams, result: SweepResult):
             result.fail("corollary3", f"{key}: {bad}")
 
 
-def run_sweep(
-    jobs: int = 1, dim_cap: int = 120, quick: bool = False, per_cell: int | None = None
-) -> SweepResult:
-    if per_cell is None:
-        per_cell = 3 if quick else 9
-    base = enumerate_sweep(dim_cap=dim_cap, per_cell=per_cell)
+def run_sweep(dim_cap: int = 120, quick: bool = False) -> SweepResult:
+    base = enumerate_sweep(dim_cap=dim_cap, per_cell=3 if quick else 9)
     instances: list[SynthParams] = []
     for idx, params in enumerate(base):
         instances.append(params)
@@ -151,21 +137,8 @@ def run_sweep(
     result = SweepResult()
     result.instances = len(instances)
     t0 = time.time()
-    if jobs > 1:
-        local_results = [SweepResult() for _ in instances]
-
-        def work(idx: int):
-            run_instance(instances[idx], local_results[idx])
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, range(len(instances))))
-        for lr in local_results:
-            result.failures += lr.failures
-            for crit, msgs in lr.criterion_failures.items():
-                result.criterion_failures.setdefault(crit, []).extend(msgs)
-    else:
-        for params in instances:
-            run_instance(params, result)
+    for params in instances:
+        run_instance(params, result)
     result.seconds = time.time() - t0
 
     by_cell: dict[tuple, int] = {}

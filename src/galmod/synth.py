@@ -76,18 +76,6 @@ class SynthParams:
         return d
 
 
-def _jordan_block_sigma(p: int, sizes: list[int]) -> Array:
-    """Unipotent sigma with one Jordan block per size: (sigma-1) b_j = b_{j+1}."""
-    dim = sum(sizes)
-    s = fl.identity(dim)
-    pos = 0
-    for size in sizes:
-        for j in range(size - 1):
-            s[pos + j + 1, pos + j] = 1
-        pos += size
-    return s % p
-
-
 def synthesize(params: SynthParams) -> GaloisDatum:
     """A canonical datum whose decomposition is known by construction."""
     params.check()
@@ -107,7 +95,7 @@ def synthesize(params: SynthParams) -> GaloisDatum:
     dim = sum(sizes)
     if dim == 0:
         raise ValueError("empty module")
-    sigma = _jordan_block_sigma(p, sizes)
+    sigma = gmod.jordan_sigma(p, sizes)
     jmod = gmod.make_module(p, n, sigma)
 
     offsets = np.cumsum([0, *sizes[:-1]])
@@ -267,22 +255,12 @@ def synthesize(params: SynthParams) -> GaloisDatum:
     return d
 
 
-def _random_invertible(p: int, dim: int, rng: random.Random) -> Array:
-    while True:
-        mat = np.array(
-            [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)],
-            dtype=np.int64,
-        )
-        if fl.rank(mat, p) == dim:
-            return mat
-
-
 def _shuffle(d: GaloisDatum, seed: int) -> GaloisDatum:
     """Conjugate the ambient J by a seeded invertible basis change."""
     rng = random.Random(seed)
     p, dim = d.p, d.J.dim
-    pmat = _random_invertible(p, dim, rng)
-    pinv = _invert(pmat, p)
+    pmat = fl.random_invertible(p, dim, rng)
+    pinv = fl.inverse(pmat, p)
     sigma2 = (pmat @ d.J.sigma @ pinv) % p
     jmod = gmod.make_module(p, d.n, sigma2)
     new_levels = []
@@ -317,15 +295,6 @@ def _shuffle(d: GaloisDatum, seed: int) -> GaloisDatum:
         xi_in_F=d.xi_in_F,
         minus_one_is_norm=d.minus_one_is_norm,
     )
-
-
-def _invert(a: Array, p: int) -> Array:
-    n = a.shape[0]
-    aug = np.concatenate([a % p, fl.identity(n)], axis=1)
-    r, pivots = fl.rref(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return r[:, n:]
 
 
 def random_params(p: int, n: int, seed: int, rank_cap: int = 3, dim_cap: int = 120) -> SynthParams:

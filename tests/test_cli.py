@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from galmod.cli import main
 
@@ -122,3 +123,86 @@ def test_selftest_quick(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+
+
+def readme_example(tmp_path):
+    """The README's synth example, decomposed: (datum path, decomposition path)."""
+    datum, dec = tmp_path / "datum.json", tmp_path / "dec.json"
+    main(["synth", "--p", "3", "--n", "2", "--m", "1", "--e", "1,1,1",
+          "--xi", "--seed", "5", "--out", str(datum)])
+    main(["decompose", "--in", str(datum), "--out", str(dec)])
+    return datum, dec
+
+
+def one_line(err):
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def _bump_norm_entry(obj):
+    norm = obj["levels"][0]["norm"]
+    norm[0][0] = (norm[0][0] + 1) % 3
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _bump_norm_entry,
+        lambda obj: obj["levels"][0]["a_class"].append(0),
+        lambda obj: obj["levels"][1]["inter_norm"].update({"0": [[1, 0], [0, 1]]}),
+        lambda obj: obj["levels"][1]["inter_norm"].update({"5": [[1]]}),
+        lambda obj: obj["levels"][1]["inter_norm"].update({"-1": [[1]]}),
+    ],
+    ids=["norm-entry", "a-class-length", "inter-norm-shape", "inter-norm-5", "inter-norm-minus-1"],
+)
+def test_invalid_datum_refused_by_decompose_and_verify(tmp_path, capsys, mutate):
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(datum))
+    mutate(obj)
+    datum.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(datum)]) == 2
+    err = one_line(capsys.readouterr().err)
+    assert err.startswith("invalid datum: ") and err.count("invalid datum: ") == 1
+    assert main(["verify", "--in", str(datum), "--decomposition", str(dec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_line(captured.err).startswith("invalid datum: ")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: obj.update(p=5),
+        lambda obj: obj.update(n=3),
+        lambda obj: obj["y_generators"][0]["coords"].pop(),
+        lambda obj: obj["y_generators"][0].update(level=3),
+        lambda obj: obj["y_generators"][0].update(level=-1),
+        lambda obj: obj.update(m="2"),
+        lambda obj: obj.update(x_generator=None),
+        lambda obj: obj.update(m="n/a"),
+    ],
+    ids=["p", "n", "short-coords", "level-3", "level-minus-1", "m-2", "m-without-x", "x-without-m"],
+)
+def test_verify_refuses_malformed_decomposition(tmp_path, capsys, mutate):
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(dec))
+    mutate(obj)
+    dec.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(datum), "--decomposition", str(dec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_line(captured.err).startswith("invalid decomposition: ")
+
+
+def test_uncaught_inconsistency_exits_3(monkeypatch, capsys):
+    import galmod.sweep
+
+    def broken(**kwargs):
+        raise AssertionError("operator is not nilpotent")
+
+    monkeypatch.setattr(galmod.sweep, "run_sweep", broken)
+    assert main(["selftest", "--quick"]) == 3
+    assert one_line(capsys.readouterr().err) == "inconsistency: operator is not nilpotent\n"

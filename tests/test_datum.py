@@ -15,7 +15,6 @@ from galmod.datum import (
     e_ranks,
     exceptional_search,
     i_via_theorem3,
-    raw_exceptional_level,
     restrict,
     solve_norm_equation,
     theorem3_level_raw,
@@ -99,7 +98,7 @@ def test_theorem3_agreement_on_sweep():
             continue
         d = synthesize(params)
         assert exceptional_search(d).m == i_via_theorem3(d) == params.m
-        assert raw_exceptional_level(d) == theorem3_level_raw(d) == params.m
+        assert theorem3_level_raw(d) == params.m
 
 
 def test_e_ranks_roundtrip():

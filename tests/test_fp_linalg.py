@@ -22,7 +22,7 @@ def brute_span(p, ambient, rows):
 
 
 def space_as_set(s):
-    return {tuple(int(x) for x in v) for v in s.vectors()}
+    return brute_span(s.p, s.ambient, s.basis)
 
 
 def test_check_prime():

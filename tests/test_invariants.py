@@ -45,10 +45,9 @@ def test_free_module_identity_small():
 
 
 def test_pth_power_class_basis_surface():
-    from galmod.local_fields import make_tower, pth_power_class_basis
+    from galmod.local_fields import make_tower
 
     tower = make_tower(3, "unramified", 1, 40)
-    basis, class_of = pth_power_class_basis(tower, 0)
-    assert len(basis) == 2
-    coords = class_of(tower.from_int(3 * 4))
+    assert len(tower.class_basis(0)) == 2
+    coords = tower.class_of(0, tower.from_int(3 * 4))
     assert coords[0] == 1  # the uniformizer slot picks up the valuation
