@@ -176,15 +176,16 @@ def validate(d: GaloisDatum) -> list[str]:
 
         # kernel of eps
         ker = fl.kernel(lv.eps, p)
+        a_line = None
+        if lv.a_class is not None and i < n:
+            a_line = fl.span(p, di, lv.a_class.reshape(1, di))
         if d.xi_in_F and i < n:
-            if lv.a_class is None:
+            if a_line is None:
                 v.append(f"level {i}: xi in F but a-class missing")
-            else:
-                a_line = fl.span(p, di, lv.a_class.reshape(1, di))
-                if a_line.dim != 1:
-                    v.append(f"level {i}: a-class is zero")
-                elif ker != a_line:
-                    v.append(f"level {i}: kernel(eps) != <a_class>")
+            elif a_line.dim != 1:
+                v.append(f"level {i}: a-class is zero")
+            elif ker != a_line:
+                v.append(f"level {i}: kernel(eps) != <a_class>")
         else:
             if lv.a_class is not None and (not d.xi_in_F):
                 v.append(f"level {i}: a-class present without xi in F")
@@ -205,8 +206,7 @@ def validate(d: GaloisDatum) -> list[str]:
             fixed_i = d.fixed(i)
             # norms of fixed elements land in <a_i>
             norm_of_fixed = fl.apply_to_space(lv.norm, fixed_i)
-            if lv.a_class is not None:
-                a_line = fl.span(p, di, lv.a_class.reshape(1, di))
+            if a_line is not None:
                 if not a_line.contains_space(norm_of_fixed):
                     v.append(f"level {i}: norms of fixed classes leave <a_{i}>")
             else:

@@ -17,6 +17,13 @@ import numpy as np
 
 Array = np.ndarray
 
+# The largest supported p.  Every matrix product is reduced mod p after
+# each factor, so one entry of a product is a sum of dim terms below
+# (p-1)^2 < 2^32: exact in int64 for every dim below 2^31, far beyond
+# any matrix that fits in memory.  The table of inverses_mod holds at
+# most P_MAX entries (512 KiB).
+P_MAX = 1 << 16
+
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -30,13 +37,18 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    if not is_prime(int(p)):
+    """p as an int; ValueError if it is not a prime at most P_MAX (the
+    bound is checked first, so a huge p costs no trial division)."""
+    p = int(p)
+    if p > P_MAX:
+        raise ValueError(f"p = {p} exceeds the supported bound P_MAX = {P_MAX}")
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    return int(p)
+    return p
 
 
 def _inverse_table(p: int) -> Array:
-    # inv[0] unused; p is small (<= a few hundred) throughout this package
+    # inv[0] unused; p <= P_MAX, so the table stays small
     inv = np.zeros(p, dtype=np.int64)
     for a in range(1, p):
         inv[a] = pow(a, p - 2, p)

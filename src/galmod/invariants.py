@@ -208,7 +208,7 @@ def submodule_subfield_identity(p: int, n: int, blocks: int, seed: int) -> bool:
     rng = random.Random((p, n, blocks, seed).__repr__())
     sigma = gmod.jordan_sigma(p, [p**n] * blocks)
     pmat = fl.random_invertible(p, sigma.shape[0], rng)
-    m = gmod.make_module(p, n, (pmat @ sigma @ fl.inverse(pmat, p)) % p)
+    m = gmod.make_module(p, n, ((pmat @ sigma) % p @ fl.inverse(pmat, p)) % p)
     for i in range(n + 1):
         lhs = gmod.fixed_points(m, i)
         rhs = fl.image(gmod.op_pow(m, p**n - p**i), p)

@@ -14,6 +14,20 @@ is what equality tests consume.  For cyclotomic towers the generator is
 the uniformizer itself (Eisenstein power basis), so valuations read off
 coefficients exactly; for unramified towers pi = p.
 
+Unit arithmetic is polynomial multiplication modulo (f, p^cp).
+``_poly_mulmod`` packs each operand into one integer with byte-aligned
+coefficient slots wide enough that no slot overflows (Kronecker
+substitution), does one big-integer multiply, and folds the high half
+back with packed rows of x^k mod f, cached per (f, modulus) for the
+few most recently used moduli.  Each tower caches the uniformizer
+powers its valuation machinery reuses: the multiplier p^k / pi^t,
+k = ceil(t/e), that ``_strip`` divides by pi^t with, and x^delta for
+``_shift``.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops
+once uv = 1, where further rounds leave v unchanged.  All of this is
+exact: results are the same residues the schoolbook product gives.
+Elements a tower keeps for itself refer back to it weakly, so a tower
+is freed as soon as its last user drops it.
+
 Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
 an additive Artin-Schreier step c -> c^p + eta*c at the critical level,
@@ -25,8 +39,11 @@ powers is decided constructively by digit-by-digit back-substitution
 from __future__ import annotations
 
 import math
+import operator
 import random
+import weakref
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -57,24 +74,67 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
+# Reduction tables of _poly_mulmod, keyed by (tuple(f), m).  Each entry
+# is (slot bytes, packed rows of x^k mod (f, m) for d <= k <= 2d-2, byte
+# slices of the slots).  Least recently used first out: a tower's own
+# modulus is used throughout, the widened ones of _strip a few at a time.
+_REDUCTION_TABLES: dict[tuple, tuple] = {}
+_REDUCTION_TABLES_MAX = 8
+
+
+def _pack(c, m: int, width: int) -> int:
+    """Kronecker packing: c_k mod m into byte slot k of one integer."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, map(m.__rmod__, c), repeat(width), repeat("little"))),
+        "little",
+    )
+
+
+def _reduction_table(f: list[int], m: int) -> tuple:
+    key = (tuple(f), m)
+    table = _REDUCTION_TABLES.pop(key, None)
+    if table is None:
+        d = len(f) - 1
+        # a slot ends below 2d(m-1)^2 + m: at most d products of residues,
+        # plus d-1 reduction terms of a residue times a row entry
+        width = (2 * d * (m - 1) ** 2 + m).bit_length() // 8 + 1
+        rows = []
+        row = [(-c) % m for c in f[:d]]  # x^d
+        for _ in range(d - 1):
+            rows.append(_pack(row, m, width))
+            top = row[-1]
+            row = [(-top * f[0]) % m] + [(row[j - 1] - top * f[j]) % m for j in range(1, d)]
+        slots = [slice(k * width, (k + 1) * width) for k in range(2 * d - 1)]
+        if len(_REDUCTION_TABLES) >= _REDUCTION_TABLES_MAX:
+            del _REDUCTION_TABLES[next(iter(_REDUCTION_TABLES))]
+        table = (width, rows, slots)
+    _REDUCTION_TABLES[key] = table
+    return table
+
+
 def _poly_mulmod(a: list[int], b: list[int], f: list[int], m: int) -> list[int]:
-    """a*b mod (f, m) for monic f; inputs of degree < deg f."""
+    """a*b mod (f, m) for monic f; inputs of length at most deg f.
+
+    Both operands are packed into one integer each (Kronecker
+    substitution), multiplied once, and the product's coefficients of
+    degree >= deg f are folded back with the packed rows of x^k mod f.
+    """
     d = len(f) - 1
     if not a or not b:
         return [0] * d
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % m
-    for k in range(len(prod) - 1, d - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(d):
-                prod[k - d + j] = (prod[k - d + j] - c * f[j]) % m
-    prod = prod[:d] + [0] * max(0, d - len(prod))
-    return [x % m for x in prod]
+    if len(a) > d or len(b) > d:
+        raise ValueError("operand longer than deg f")
+    width, rows, slots = _reduction_table(f, m)
+    pa = _pack(a, m, width)
+    prod = pa * (pa if b is a else _pack(b, m, width))
+    high = len(a) + len(b) - 1 - d
+    if high > 0:
+        low_bits = 8 * width * d
+        top = (prod >> low_bits).to_bytes(width * high, "little")
+        coeffs = map(m.__rmod__, map(int.from_bytes, map(top.__getitem__, slots[:high]), repeat("little")))
+        prod = sum(map(operator.mul, coeffs, rows), prod & ((1 << low_bits) - 1))
+    out = prod.to_bytes(width * d, "little")
+    return list(map(m.__rmod__, map(int.from_bytes, map(out.__getitem__, slots[:d]), repeat("little"))))
 
 
 def _poly_powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
@@ -252,6 +312,11 @@ class LocalTower:
         self.rel_cap = self.e * self.cp  # representable relative precision
 
         self.fpoly = [c % self.modulus for c in self.minpoly]
+        # per-tower powers of the uniformizer: t -> (modulus * p^k, f mod
+        # that, p^k / pi^t mod both, p^k) for _strip; delta -> x^delta for
+        # _shift
+        self._strip_tables: dict[int, tuple] = {}
+        self._shift_powers: dict[int, list[int]] = {}
         if kind == CYCLOTOMIC:
             assert self.minpoly[0] == p
             # pi * (x^(d-1) + a_{d-1} x^(d-2) + ... + a_1) = -p
@@ -259,16 +324,35 @@ class LocalTower:
         else:
             self._p_over_pi = None
 
-        d = self.deg
-        self.one = LFElement(self, 0, (1,) + (0,) * (d - 1))
-        self.zero = LFElement(self, 0, None)
-        self.pi = LFElement(self, 1, (1,) + (0,) * (d - 1))
+        self._unit_one = (1,) + (0,) * (self.deg - 1)
+        # Elements the tower keeps (sigma's uniformizer units, the level
+        # uniformizers, the class bases) refer back to it through this
+        # weak proxy, so the tower is in no reference cycle: once its
+        # caller drops it, it is freed at once, not at the next full
+        # garbage collection.
+        self._ref = weakref.proxy(self)
 
         self._galois_setup()
         self._level_setup()
         self._classes: dict[int, _LevelClasses] = {}
 
     # -- element construction ------------------------------------------------
+
+    @property
+    def one(self) -> LFElement:
+        return LFElement(self, 0, self._unit_one)
+
+    @property
+    def zero(self) -> LFElement:
+        return LFElement(self, 0, None)
+
+    @property
+    def pi(self) -> LFElement:
+        return LFElement(self, 1, self._unit_one)
+
+    def _own(self, x: LFElement) -> LFElement:
+        """x as an element the tower keeps (see ``_ref``)."""
+        return LFElement(self._ref, x.val, x.unit, x.aprec)
 
     def from_poly(self, coeffs) -> LFElement:
         d = self.deg
@@ -323,7 +407,10 @@ class LocalTower:
     def _strip(self, c: list[int], t: int) -> list[int]:
         """Exactly divide the polynomial by pi^t (valuation must allow it).
 
-        Uses an enlarged working modulus so the quotient keeps cp digits.
+        Multiplies by q = p^k / pi^t, integral for k = ceil(t/e), modulo
+        the enlarged modulus p^(cp+k), so the quotient c*q / p^k keeps cp
+        digits.  That quotient is the same as c * (p/pi)^t / p^t taken
+        modulo p^(cp+t): both are c / pi^t mod p^cp.
         """
         if t == 0:
             return list(c)
@@ -333,14 +420,22 @@ class LocalTower:
             if any(x % pt for x in c):
                 raise PrecisionError("strip below the honest valuation")
             return [(x // pt) % self.modulus for x in c]
-        mod_hi = self.modulus * p**t
-        fhi = [x % mod_hi for x in self.minpoly]
-        qt = _poly_powmod([x % mod_hi for x in self._p_over_pi], t, fhi, mod_hi)
-        acc = _poly_mulmod([x % mod_hi for x in c], qt, fhi, mod_hi)
-        pt = p**t
-        if any(x % pt for x in acc):
+        table = self._strip_tables.get(t)
+        if table is None:
+            k = -(-t // self.e)
+            # (p/pi)^t mod p^(cp+t) is p^(t-k) * q mod p^(cp+t)
+            wide = self.modulus * p**t
+            q_wide = _poly_powmod(
+                [x % wide for x in self._p_over_pi], t, [x % wide for x in self.minpoly], wide
+            )
+            mod_k = self.modulus * p**k
+            q = [x // p ** (t - k) for x in q_wide]
+            table = self._strip_tables[t] = (mod_k, [x % mod_k for x in self.minpoly], q, p**k)
+        mod_k, fk, q, pk = table
+        acc = _poly_mulmod(c, q, fk, mod_k)
+        if any(x % pk for x in acc):
             raise PrecisionError("strip below the honest valuation")
-        return [(x // pt) % self.modulus for x in acc]
+        return [(x // pk) % self.modulus for x in acc]
 
     def _shift(self, c: list[int], delta: int) -> list[int]:
         """Multiply a polynomial by pi^delta (delta >= 0)."""
@@ -349,8 +444,10 @@ class LocalTower:
         if self.kind == UNRAMIFIED:
             pd = self.p**delta
             return [x * pd % self.modulus for x in c]
-        xd = _poly_powmod([0, 1], delta, self.fpoly, self.modulus)
-        return _poly_mulmod(list(c), xd, self.fpoly, self.modulus)
+        xd = self._shift_powers.get(delta)
+        if xd is None:
+            xd = self._shift_powers[delta] = _poly_powmod([0, 1], delta, self.fpoly, self.modulus)
+        return _poly_mulmod(c, xd, self.fpoly, self.modulus)
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -367,7 +464,7 @@ class LocalTower:
         delta = y.val - x.val
         if delta >= a - x.val:
             return LFElement(self, x.val, x.unit, a)
-        w = _poly_add(list(x.unit), self._shift(list(y.unit), delta), self.modulus)
+        w = _poly_add(x.unit, self._shift(y.unit, delta), self.modulus)
         if all(v == 0 for v in w):
             return LFElement(self, 0, None, a)
         t = self._poly_val(w)
@@ -401,7 +498,7 @@ class LocalTower:
                 ay = y.aprec + (x.val if not x.is_zero else 0)
                 a = _amin(a, ay)
             return LFElement(self, 0, None, a)
-        u = _poly_mulmod(list(x.unit), list(y.unit), self.fpoly, self.modulus)
+        u = _poly_mulmod(x.unit, y.unit, self.fpoly, self.modulus)
         val = x.val + y.val
         a = _amin(
             None if x.aprec is None else x.aprec + y.val,
@@ -415,8 +512,11 @@ class LocalTower:
             raise ZeroDivisionError("division by zero")
         u = list(x.unit)
         v = self._residue_inverse(u)
+        one = self._unit_one
         for _ in range(max(3, math.ceil(math.log2(self.cp * self.e)) + 2)):
             uv = _poly_mulmod(u, v, self.fpoly, self.modulus)
+            if tuple(uv) == one:
+                break  # converged: further rounds multiply v by 1
             two_minus = [(-c) % self.modulus for c in uv]
             two_minus[0] = (two_minus[0] + 2) % self.modulus
             v = _poly_mulmod(v, two_minus, self.fpoly, self.modulus)
@@ -500,7 +600,7 @@ class LocalTower:
                 img = self.from_poly(self._mat_apply(mats[k], [0, 1]))
                 if img.val != 1:
                     raise ValueError("generator image is not a uniformizer")
-                self._sigma_pi_units.append(LFElement(self, 0, img.unit))
+                self._sigma_pi_units.append(LFElement(self._ref, 0, img.unit))
         # exact order: sigma^(p^n) = 1 and sigma^(p^(n-1)) != 1
         last = self._mat_mul(mats[order - 1], mat1) if order > 1 else mat1
         if self._mats_differ(last, mats[0]):
@@ -605,7 +705,7 @@ class LocalTower:
         self.level_rel_e: list[int] = []  # e(K / K_i)
         for i in range(n + 1):
             if self.kind == UNRAMIFIED:
-                self.level_uniformizer.append(self.from_int(p))
+                self.level_uniformizer.append(self._own(self.from_int(p)))
                 self.level_e.append(1)
                 self.level_rel_e.append(1)
             else:
@@ -613,7 +713,7 @@ class LocalTower:
                 pi_i = self.add(self.zeta(rel), self.neg(self.one))
                 if pi_i.val != rel:
                     raise ValueError("level uniformizer has unexpected valuation")
-                self.level_uniformizer.append(pi_i)
+                self.level_uniformizer.append(self._own(pi_i))
                 self.level_e.append(self.e // rel)
                 self.level_rel_e.append(rel)
         if self.kind == CYCLOTOMIC:
@@ -802,12 +902,12 @@ class LocalTower:
 
     def classes(self, i: int) -> "_LevelClasses":
         if i not in self._classes:
-            self._classes[i] = _LevelClasses(self, i)
+            self._classes[i] = _LevelClasses(self._ref, i)
         return self._classes[i]
 
     def class_basis(self, i: int) -> list[LFElement]:
         """Basis of J(K_i) = K_i^x/(K_i^x)^p, uniformizer class first."""
-        return self.classes(i).basis_elements
+        return [LFElement(self, b.val, b.unit, b.aprec) for b in self.classes(i).basis_elements]
 
     def class_of(self, i: int, x: LFElement) -> Array:
         """Coordinates of the class of x in the level-i basis."""
@@ -984,7 +1084,7 @@ class _LevelClasses:
                 _, residual = self._reduce(cand)
                 if residual is not None:
                     red, lv, lead = residual
-                    self.unit_basis.append((red, t.inv(red), lv, lead))
+                    self.unit_basis.append((t._own(red), t._own(t.inv(red)), lv, lead))
 
     def _expected_dim(self) -> int:
         t = self.t

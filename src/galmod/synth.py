@@ -261,7 +261,7 @@ def _shuffle(d: GaloisDatum, seed: int) -> GaloisDatum:
     p, dim = d.p, d.J.dim
     pmat = fl.random_invertible(p, dim, rng)
     pinv = fl.inverse(pmat, p)
-    sigma2 = (pmat @ d.J.sigma @ pinv) % p
+    sigma2 = ((pmat @ d.J.sigma) % p @ pinv) % p
     jmod = gmod.make_module(p, d.n, sigma2)
     new_levels = []
     for i, lv in enumerate(d.levels):

@@ -206,3 +206,54 @@ def test_uncaught_inconsistency_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(galmod.sweep, "run_sweep", broken)
     assert main(["selftest", "--quick"]) == 3
     assert one_line(capsys.readouterr().err) == "inconsistency: operator is not nilpotent\n"
+
+
+HUGE_P = 1000000000000000003  # prime; trial division up to its root takes minutes
+
+
+@pytest.fixture
+def no_prime_work(monkeypatch):
+    """Fail when a p above the bound reaches trial division or the inverse table."""
+    import galmod.fp_linalg as fl
+
+    def guard(fn):
+        def guarded(p):
+            assert p <= fl.P_MAX, f"p = {p} reached {fn.__name__}"
+            return fn(p)
+        return guarded
+
+    monkeypatch.setattr(fl, "is_prime", guard(fl.is_prime))
+    monkeypatch.setattr(fl, "_inverse_table", guard(fl._inverse_table))
+
+
+def test_synth_and_local_refuse_p_above_bound(tmp_path, capsys, no_prime_work):
+    rc = main(["synth", "--p", str(HUGE_P), "--n", "1", "--m", "0", "--e", "1,1",
+               "--xi", "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert one_line(capsys.readouterr().err).startswith("invalid parameters: p = ")
+    for kind in ("cyclotomic", "unramified"):
+        rc = main(["local", "--p", str(HUGE_P), "--kind", kind, "--n", "1",
+                   "--out", str(tmp_path / "y.json")])
+        assert rc == 2
+        assert "exceeds the supported bound P_MAX" in one_line(capsys.readouterr().err)
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "y.json").exists()
+
+
+def test_datum_json_with_p_above_bound_refused(tmp_path, capsys, no_prime_work):
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(datum))
+    obj["p"] = HUGE_P
+    datum.write_text(json.dumps(obj))
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"p": HUGE_P, "n": 1, "sigma": [[1]]}))
+    capsys.readouterr()
+    for argv in (
+        ["decompose", "--in", str(datum)],
+        ["verify", "--in", str(datum), "--decomposition", str(dec)],
+        ["invariants", "--in", str(datum)],
+        ["jordan", "--in", str(module)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the supported bound P_MAX" in one_line(captured.err)

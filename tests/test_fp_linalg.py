@@ -189,3 +189,11 @@ def test_solve_in_space():
     assert np.array_equal((a @ x) % 2, np.array([1, 0]))
     assert s.contains(x)
     assert fl.solve_in_space(a, fl.zero_space(2, 2), np.array([1, 0])) is None
+
+
+def test_check_prime_refuses_p_above_bound(monkeypatch):
+    # the bound is checked before any trial division
+    monkeypatch.setattr(fl, "is_prime", lambda p: pytest.fail("trial division ran"))
+    for p in (fl.P_MAX + 1, 1000000000000000003):
+        with pytest.raises(ValueError, match="P_MAX"):
+            fl.check_prime(p)

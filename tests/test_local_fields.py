@@ -1,10 +1,15 @@
 """p-adic towers: arithmetic, Galois action, class spaces, datum extraction."""
 
+import gc
 import json
+import math
+import random
+import weakref
 
 import numpy as np
 import pytest
 
+from galmod import local_fields as lf
 from galmod.datum import datum_to_json, e_ranks, exceptional_search, i_via_theorem3, validate
 from galmod.decompose import all_clauses_pass, decompose, verify
 from galmod.local_fields import (
@@ -189,3 +194,168 @@ def test_p2_cyclotomic_tower():
     assert d.minus_one_is_norm is not None
     dec = decompose(d)
     assert all_clauses_pass(verify(dec, d))
+
+
+# -- exactness of the packed arithmetic ---------------------------------------
+
+# The towers of the benchmark's padic_towers set, with the CLI default
+# precision written out where it has one.
+BENCH_TOWERS = (
+    (3, "cyclotomic", 1, 60),
+    (3, "cyclotomic", 2, 100),
+    (5, "cyclotomic", 1, 104),
+    (2, "cyclotomic", 2, 56),
+    (2, "cyclotomic", 3, 88),
+    (3, "unramified", 1, 40),
+    (5, "unramified", 1, 28),
+)
+
+
+def schoolbook_mulmod(a, b, f, m):
+    """The reference product: schoolbook, then long division by monic f."""
+    d = len(f) - 1
+    if not a or not b:
+        return [0] * d
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % m
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for j in range(d):
+                prod[k - d + j] = (prod[k - d + j] - c * f[j]) % m
+    prod = prod[:d] + [0] * max(0, d - len(prod))
+    return [x % m for x in prod]
+
+
+def _operands(rng, d, m):
+    """Full, short, zero, negative and edge operands of length <= d."""
+    yield [rng.randrange(m) for _ in range(d)]
+    yield [rng.randrange(m) for _ in range(rng.randint(1, d))]
+    yield [rng.randrange(-3 * m, 3 * m) for _ in range(d)]
+    yield [m - 1] * d
+    yield [0] * d
+    yield [-1]
+    yield []
+
+
+@pytest.mark.parametrize("spec", BENCH_TOWERS, ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_poly_mulmod_matches_schoolbook(spec):
+    tw = make_tower(*spec)
+    rng = random.Random(repr(spec))
+    d = tw.deg
+    moduli = [(tw.fpoly, tw.modulus)]
+    if tw.kind == "cyclotomic":
+        # the widened moduli of _strip: p^(cp+k) for its products, and
+        # p^(cp+t) for the multiplier's powers
+        for widen in (1, 2, tw.e, 3 * tw.e + 1):
+            mod_hi = tw.modulus * tw.p**widen
+            moduli.append(([c % mod_hi for c in tw.minpoly], mod_hi))
+    for f, m in moduli:
+        ops = [op for _ in range(3) for op in _operands(rng, d, m)]
+        for a in ops:
+            for b in rng.sample(ops, 6) + [a]:
+                assert lf._poly_mulmod(a, b, f, m) == schoolbook_mulmod(a, b, f, m)
+
+
+def test_poly_mulmod_small_moduli():
+    rng = random.Random(3)
+    for p, d in ((2, 1), (3, 2), (5, 5), (7, 9)):
+        for _ in range(20):
+            f = [rng.randrange(p) for _ in range(d)] + [1]
+            a = [rng.randrange(-p, 2 * p) for _ in range(rng.randint(0, d))]
+            b = [rng.randrange(p) for _ in range(rng.randint(0, d))]
+            assert lf._poly_mulmod(a, b, f, p) == schoolbook_mulmod(a, b, f, p)
+
+
+def test_poly_mulmod_refuses_long_operands():
+    with pytest.raises(ValueError):
+        lf._poly_mulmod([1, 2, 3, 4], [1], [1, 0, 1], 7)
+
+
+def schoolbook_powmod(a, e, f, m):
+    d = len(f) - 1
+    result, base = [1] + [0] * (d - 1), list(a) + [0] * (d - len(a))
+    while e:
+        if e & 1:
+            result = schoolbook_mulmod(result, base, f, m)
+        base = schoolbook_mulmod(base, base, f, m)
+        e >>= 1
+    return result
+
+
+def strip_by_p_over_pi(tw, c, t):
+    """c / pi^t as c * (p/pi)^t / p^t modulo p^(cp+t), or None when
+    pi^t does not divide c."""
+    p, wide = tw.p, tw.modulus * tw.p**t
+    f = [x % wide for x in tw.minpoly]
+    q = schoolbook_powmod([x % wide for x in tw._p_over_pi], t, f, wide)
+    acc = schoolbook_mulmod(list(c), q, f, wide)
+    if any(x % p**t for x in acc):
+        return None
+    return [(x // p**t) % tw.modulus for x in acc]
+
+
+@pytest.mark.parametrize("spec", [s for s in BENCH_TOWERS if s[1] == "cyclotomic"],
+                         ids=lambda s: f"p{s[0]}n{s[2]}")
+def test_strip_matches_p_over_pi_formula(spec):
+    tw = make_tower(*spec)
+    rng = random.Random(repr(spec))
+    for t in (1, 2, tw.e - 1, tw.e, tw.e + 1, 2 * tw.e + 3, 5 * tw.e):
+        for _ in range(4):
+            y = [rng.randrange(tw.modulus) for _ in range(tw.deg)]
+            y[0] = y[0] * tw.p + 1  # a unit, so c has valuation exactly t
+            c = tw._shift(y, t)
+            assert tw._strip(c, t) == strip_by_p_over_pi(tw, c, t)
+            # one digit short of pi^t: both refuse
+            c = tw._shift(y, t - 1)
+            assert strip_by_p_over_pi(tw, c, t) is None
+            with pytest.raises(PrecisionError):
+                tw._strip(c, t)
+
+
+def newton_inverse_full_rounds(tw, unit):
+    """inv's Newton iteration with every one of its rounds and the
+    schoolbook product: the value the early exit must reproduce."""
+    u = list(unit)
+    v = tw._residue_inverse(u)
+    for _ in range(max(3, math.ceil(math.log2(tw.cp * tw.e)) + 2)):
+        uv = schoolbook_mulmod(u, v, tw.fpoly, tw.modulus)
+        two_minus = [(-c) % tw.modulus for c in uv]
+        two_minus[0] = (two_minus[0] + 2) % tw.modulus
+        v = schoolbook_mulmod(v, two_minus, tw.fpoly, tw.modulus)
+    return tuple(v)
+
+
+@pytest.mark.parametrize("spec", [(3, "cyclotomic", 2, 100), (5, "unramified", 1, 28)])
+def test_inv_matches_full_round_newton(spec):
+    tw = make_tower(*spec)
+    rng = random.Random(11)
+    units = [tw.one, tw.zeta() if tw.kind == "cyclotomic" else tw.from_int(2)]
+    while len(units) < 8:
+        x = tw.from_poly([rng.randrange(tw.modulus) for _ in range(tw.deg)])
+        if not x.is_zero and x.val == 0:
+            units.append(x)
+    for x in units:
+        assert tw.inv(x).unit == newton_inverse_full_rounds(tw, x.unit)
+
+
+def test_dropped_tower_is_freed_without_gc():
+    tw = make_tower(3, "cyclotomic", 1, 60)
+    build_datum(tw)
+    basis = tw.class_basis(1)
+    ref = weakref.ref(tw)
+    gc.disable()
+    try:
+        del tw
+        # elements handed out keep their tower alive ...
+        assert ref() is not None
+        assert basis[1].tower.eq(basis[1] * basis[2], basis[2] * basis[1])
+        # ... and the tower is in no reference cycle
+        del basis
+        assert ref() is None
+    finally:
+        gc.enable()
