@@ -148,6 +148,14 @@ def _print_report(report: dict) -> int:
     return EXIT_OK if all_clauses_pass(report) else EXIT_VERIFY_FAIL
 
 
+def _refuse_invalid(d) -> bool:
+    """Print the one-line refusal of a datum failing validate; True then."""
+    violations = validate(d)
+    if violations:
+        print("invalid datum: " + "; ".join(violations), file=sys.stderr)
+    return bool(violations)
+
+
 def _cmd_verify(args) -> int:
     try:
         d = load_datum(args.infile)
@@ -155,9 +163,7 @@ def _cmd_verify(args) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    violations = validate(d)
-    if violations:
-        print("invalid datum: " + "; ".join(violations), file=sys.stderr)
+    if _refuse_invalid(d):
         return EXIT_INVALID
     try:
         check_shape(dec, d)
@@ -172,6 +178,8 @@ def _cmd_invariants(args) -> int:
         d = load_datum(args.infile)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"cannot read datum: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    if _refuse_invalid(d):
         return EXIT_INVALID
     from .invariants import lemma_property_suite
 

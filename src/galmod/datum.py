@@ -75,30 +75,24 @@ class GaloisDatum:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- cached helpers -------------------------------------------------
+    # What depends on J alone is cached on J; _cache holds what reads the
+    # level maps, which are plain arrays: clear it after changing one.
 
     def op_pow(self, k: int) -> Array:
-        key = ("op_pow", k)
-        if key not in self._cache:
-            self._cache[key] = gmod.op_pow(self.J, k)
-        return self._cache[key]
+        return gmod.op_pow(self.J, k)
 
     def fixed(self, i: int) -> Subspace:
-        key = ("fixed", i)
-        if key not in self._cache:
-            self._cache[key] = gmod.fixed_points(self.J, i)
-        return self._cache[key]
+        return gmod.fixed_points(self.J, i)
 
     def eps_image(self, i: int) -> Subspace:
-        key = ("eps_image", i)
-        if key not in self._cache:
-            self._cache[key] = fl.image(self.levels[i].eps, self.p)
-        return self._cache[key]
+        return gmod.memo(
+            self._cache, ("eps_image", i), lambda: fl.image(self.levels[i].eps, self.p)
+        )
 
     def norm_kernel(self, i: int) -> Subspace:
-        key = ("norm_kernel", i)
-        if key not in self._cache:
-            self._cache[key] = fl.kernel(self.levels[i].norm, self.p)
-        return self._cache[key]
+        return gmod.memo(
+            self._cache, ("norm_kernel", i), lambda: fl.kernel(self.levels[i].norm, self.p)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +254,14 @@ def e_ranks(d: GaloisDatum) -> list[int]:
 def norm_filtration(d: GaloisDatum) -> list[Subspace]:
     """The nested subspaces V_0 >= V_1 >= ... >= V_n used by e_ranks."""
     p, n = d.p, d.n
-    return [
-        fl.apply_to_space(d.op_pow(p**i - 1), d.eps_image(i)) for i in range(n + 1)
-    ]
+    spaces = gmod.memo(
+        d._cache,
+        "norm_filtration",
+        lambda: tuple(
+            fl.apply_to_space(d.op_pow(p**i - 1), d.eps_image(i)) for i in range(n + 1)
+        ),
+    )
+    return list(spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +305,13 @@ def exceptional_search(d: GaloisDatum) -> ExceptionalReport:
     delta satisfies norm_0(delta) != 0 and (sigma-1) delta in im(eps_m);
     after reduction modulo S_m n ker(norm_0) its length is p^m + 1
     (with p^(-inf) = 0), and any other outcome on validated data is
-    reported as an inconsistency.
+    reported as an inconsistency.  The report is computed once per datum.
     """
     check_definition_hypotheses(d)
+    return gmod.memo(d._cache, "exceptional_search", lambda: _exceptional_search(d))
+
+
+def _exceptional_search(d: GaloisDatum) -> ExceptionalReport:
     m = None
     delta = None
     for i in [NEG_INF, *range(d.n)]:
@@ -328,6 +331,8 @@ def exceptional_search(d: GaloisDatum) -> ExceptionalReport:
             f"exceptional class has length {got}, expected p^m+1 = {expected}"
         )
     norm_class = (d.levels[0].norm @ delta) % d.p
+    delta.setflags(write=False)
+    norm_class.setflags(write=False)
     return ExceptionalReport(m=m, delta=delta, norm_class=norm_class)
 
 
@@ -410,12 +415,13 @@ def restrict(d: GaloisDatum, j: int) -> GaloisDatum:
         return d
     p, n = d.p, d.n
     n2 = n - j
-    sigma2 = fl.mat_pow(d.J.sigma, p**j, p)
-    j2 = gmod.make_module(p, n2, sigma2)
+    for i in range(j, n + 1):
+        d.fixed(i)  # computed once on J, then shared with the restriction
+    j2 = gmod.subgroup_module(d.J, j)
     new_levels = []
     for i2 in range(n2 + 1):
         old = d.levels[j + i2]
-        space2 = gmod.make_module(p, i2, fl.mat_pow(old.space.sigma, p**j, p))
+        space2 = gmod.subgroup_module(old.space, j)
         inter2 = {
             t - j: old.inter_norm[t] for t in old.inter_norm if t >= j
         }
@@ -430,7 +436,7 @@ def restrict(d: GaloisDatum, j: int) -> GaloisDatum:
         )
     minus_one = None
     if p == 2 and n2 == 1:
-        fixed = fl.kernel((sigma2 - fl.identity(d.J.dim)) % p, p)
+        fixed = d.fixed(j)
         hit = fixed.dim > 0 and bool(
             np.any((d.levels[j].norm @ fixed.basis.T) % p)
         )
@@ -507,23 +513,30 @@ def datum_from_json(obj: dict) -> GaloisDatum:
         xi = bool(obj["xi_in_F"])
         minus_one = obj.get("minus_one_is_norm")
         sigma = np.asarray(obj["sigma"], dtype=np.int64)
+        levels_json = obj["levels"]
+        # checked before any module is built: p^n is computed for J
+        if len(levels_json) != n + 1:
+            raise ValueError(f"expected {n + 1} levels, found {len(levels_json)}")
         jmod = gmod.make_module(p, n, sigma)
         levels = []
-        for i, lv in enumerate(obj["levels"]):
+        for i, lv in enumerate(levels_json):
             space = gmod.make_module(p, i, np.asarray(lv["sigma_i"], dtype=np.int64))
             if space.dim != int(lv["dim"]):
                 raise ValueError(f"levels[{i}].dim disagrees with sigma_i")
             eps = fl.asmod(np.asarray(lv["eps"], dtype=np.int64).reshape(jmod.dim, space.dim), p)
             norm = fl.asmod(np.asarray(lv["norm"], dtype=np.int64).reshape(space.dim, jmod.dim), p)
+            inter_json = lv.get("inter_norm", {})
+            if not isinstance(inter_json, dict):
+                raise TypeError(f"levels[{i}].inter_norm is not an object")
             inter = {}
-            for k, m in lv.get("inter_norm", {}).items():
+            for k, m in inter_json.items():
                 inter[int(k)] = fl.asmod(np.asarray(m, dtype=np.int64), p)
             a_cls = lv.get("a_class")
             a_arr = None if a_cls is None else fl.asmod(np.asarray(a_cls, dtype=np.int64), p)
             levels.append(
                 LevelData(space=space, eps=eps, norm=norm, inter_norm=inter, a_class=a_arr)
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed datum JSON: {exc}") from exc
     if minus_one is not None:
         minus_one = bool(minus_one)

@@ -105,17 +105,14 @@ def decompose(d: GaloisDatum) -> Decomposition:
 
     filtration = norm_filtration(d)
 
-    covered = fl.Echelon(p, d.J.dim)
+    covered: list[Array] = []
     if x_fixed_line is not None and m != NEG_INF:
-        for row in x_fixed_line.basis:
-            covered.add(row)
+        covered.extend(x_fixed_line.basis)
 
     y_generators: list[tuple[int, Array]] = []
     for i in range(n, -1, -1):
         v_i = filtration[i]
-        covered_in_v = fl.sub_intersect(
-            v_i, fl.span(p, d.J.dim, covered.matrix())
-        )
+        covered_in_v = fl.sub_intersect(v_i, fl.span(p, d.J.dim, covered))
         fresh = fl.sub_complement(v_i, covered_in_v)
         lift_op = d.op_pow(p**i - 1)
         source = d.eps_image(i)
@@ -130,7 +127,7 @@ def decompose(d: GaloisDatum) -> Decomposition:
                     f"level-{i} generator has length {gmod.length(d.J, w)} != p^{i}"
                 )
             y_generators.append((i, w))
-            covered.add(z)
+            covered.append(z)
 
     dec = Decomposition(p=p, n=n, m=m, x_generator=x_gen, y_generators=y_generators)
 
@@ -148,33 +145,44 @@ def decompose(d: GaloisDatum) -> Decomposition:
     return dec
 
 
-def _y_span(d: GaloisDatum, dec: Decomposition) -> Subspace:
-    rows = [gmod.cyclic_submodule(d.J, w).basis for _, w in dec.y_generators]
-    if not rows:
-        return fl.zero_space(d.p, d.J.dim)
-    return fl.span(d.p, d.J.dim, np.concatenate(rows, axis=0))
+def _summands(d: GaloisDatum, dec: Decomposition):
+    """(the cyclic submodules of the Y generators, their span, the cyclic
+    submodule of the X generator or None without one)."""
+    y_parts = [gmod.cyclic_submodule(d.J, w) for _, w in dec.y_generators]
+    y_span = fl.span(d.p, d.J.dim, [row for part in y_parts for row in part.basis])
+    if dec.x_generator is None:
+        return y_parts, y_span, None
+    return y_parts, y_span, gmod.cyclic_submodule(d.J, dec.x_generator)
+
+
+def _check_level(dec: Decomposition, d: GaloisDatum, i: int):
+    if not 0 <= i < d.n:
+        raise ValueError(f"level {i} out of range 0..{d.n - 1}")
+    if dec.p != d.p or dec.n != d.n:
+        raise ValueError("decomposition does not match the datum")
+
+
+def _subfield_image(
+    d: GaloisDatum, m, y_span: Subspace, x_space: Subspace | None, i: int
+) -> Subspace:
+    """The right-hand side for [K_i^x] from the span of the Y summands and
+    the X summand; m is the decomposition's invariant."""
+    y_fixed = fl.sub_intersect(y_span, d.fixed(i))
+    if m is None:
+        return y_fixed
+    if m == NEG_INF or int(m) <= i:
+        k = 1
+    else:
+        k = 1 + (d.p ** int(m) - d.p**i)  # (sigma-1) (sigma^(p^i)-1)^(p^(m-i)-1) on J
+    return fl.sub_sum(fl.apply_to_space(d.op_pow(k), x_space), y_fixed)
 
 
 def predicted_subfield_image(dec: Decomposition, d: GaloisDatum, i: int) -> Subspace:
     """The theorem's right-hand side for [K_i^x], assembled from the
     computed summands; 0 <= i < n."""
-    if not 0 <= i < d.n:
-        raise ValueError(f"level {i} out of range 0..{d.n - 1}")
-    if dec.p != d.p or dec.n != d.n:
-        raise ValueError("decomposition does not match the datum")
-    p = d.p
-    y_span = _y_span(d, dec)
-    y_fixed = fl.sub_intersect(y_span, d.fixed(i))
-    if dec.m is None:
-        return y_fixed
-    x_space = gmod.cyclic_submodule(d.J, dec.x_generator)
-    if dec.m == NEG_INF or int(dec.m) <= i:
-        x_part = fl.apply_to_space(d.op_pow(1), x_space)
-    else:
-        mm = int(dec.m)
-        k = 1 + (p**mm - p**i)  # (sigma-1) (sigma^(p^i)-1)^(p^(m-i)-1) on J
-        x_part = fl.apply_to_space(d.op_pow(k), x_space)
-    return fl.sub_sum(x_part, y_fixed)
+    _check_level(dec, d, i)
+    _, y_span, x_space = _summands(d, dec)
+    return _subfield_image(d, dec.m, y_span, x_space, i)
 
 
 def check_shape(dec: Decomposition, d: GaloisDatum):
@@ -203,17 +211,15 @@ def verify(dec: Decomposition, d: GaloisDatum) -> dict:
     Clause ids are stable: T.direct-sum, T.span, T2.dimX, T.K{i} for the
     subfield images, C.rank.{i} and C2.rank-shift for the rank identities,
     C.normimage.{i} for the norm subspace clauses, KS.blocks for the
-    block-multiset cross-check.
+    block-multiset cross-check.  The summand spaces are built once and
+    shared by all clauses.
     """
     p, n = d.p, d.n
     report: dict[str, bool] = {}
     notes: list[str] = []
 
-    parts = [gmod.cyclic_submodule(d.J, w) for _, w in dec.y_generators]
-    x_space = None
-    if dec.x_generator is not None:
-        x_space = gmod.cyclic_submodule(d.J, dec.x_generator)
-        parts.append(x_space)
+    y_parts, y_span, x_space = _summands(d, dec)
+    parts = y_parts if x_space is None else [*y_parts, x_space]
     try:
         indep = gmod.independent_sum_check(d.J, parts)
     except (ValueError, AssertionError) as exc:
@@ -226,14 +232,16 @@ def verify(dec: Decomposition, d: GaloisDatum) -> dict:
     if dec.m is not None:
         expected_x = 1 if dec.m == NEG_INF else p ** int(dec.m) + 1
         report["T2.dimX"] = x_space is not None and x_space.dim == expected_x
-    for lvl, w in dec.y_generators:
-        if gmod.length(d.J, w) != p**lvl:
+    # a cyclic submodule's dimension is the length of its generator
+    for (lvl, _), part in zip(dec.y_generators, y_parts):
+        if part.dim != p**lvl:
             notes.append(f"generator at level {lvl} has wrong length")
             report["T.span"] = False
 
     for i in range(n):
         try:
-            predicted = predicted_subfield_image(dec, d, i)
+            _check_level(dec, d, i)
+            predicted = _subfield_image(d, dec.m, y_span, x_space, i)
             report[f"T.K{i}"] = predicted == d.eps_image(i)
         except ValueError as exc:
             report[f"T.K{i}"] = False
@@ -256,24 +264,16 @@ def verify(dec: Decomposition, d: GaloisDatum) -> dict:
 
     # norm-image clauses: V_i = (Y_i + ... + Y_n)^G, plus X^G when i <= m
     filtration = norm_filtration(d)
-    fixed0 = d.fixed(0)
+    x_top = None
+    if x_space is not None and dec.m is not None and dec.m != NEG_INF:
+        x_top = fl.sub_intersect(x_space, d.fixed(0))
     for i in range(n + 1):
-        ech = fl.Echelon(p, d.J.dim)
-        for lvl, w in dec.y_generators:
-            if lvl >= i:
-                line = (d.op_pow(p**lvl - 1) @ w) % p
-                ech.add(line)
-        include_x = (
-            x_space is not None
-            and dec.m is not None
-            and dec.m != NEG_INF
-            and i <= int(dec.m)
-        )
-        if include_x:
-            xg_fixed = fl.sub_intersect(x_space, fixed0)
-            for row in xg_fixed.basis:
-                ech.add(row)
-        lhs = fl.span(p, d.J.dim, ech.matrix())
+        rows = [
+            (d.op_pow(p**lvl - 1) @ w) % p for lvl, w in dec.y_generators if lvl >= i
+        ]
+        if x_top is not None and i <= int(dec.m):
+            rows.extend(x_top.basis)
+        lhs = fl.span(p, d.J.dim, rows)
         report[f"C.normimage.{i}"] = lhs == filtration[i]
 
     jt = gmod.jordan_type(d.J)
@@ -347,7 +347,7 @@ def decomposition_from_json(obj: dict) -> Decomposition:
             (int(item["level"]), np.asarray(item["coords"], dtype=np.int64) % p)
             for item in obj["y_generators"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed decomposition JSON: {exc}") from exc
     return Decomposition(p=p, n=n, m=m, x_generator=x_arr, y_generators=ys)
 

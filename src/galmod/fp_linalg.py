@@ -3,7 +3,8 @@
 Matrices are numpy int64 arrays with entries reduced mod p, acting on
 column vectors (1-D arrays).  A ``Subspace`` of F_p^n stores a canonical
 reduced-row-echelon basis, so two equal subspaces have byte-identical
-bases and compare with ``==``.
+bases and compare with ``==``, together with the basis's pivot columns,
+so membership is one matrix product.
 
 All operations are pure; nothing here mutates its inputs.
 """
@@ -108,7 +109,7 @@ def rref(a: Array, p: int) -> tuple[Array, list[int]]:
     for col in range(n):
         if row == m:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         i = row + int(nz[0])
@@ -117,7 +118,7 @@ def rref(a: Array, p: int) -> tuple[Array, list[int]]:
         r[row] = (r[row] * inv[r[row, col]]) % p
         factors = r[:, col].copy()
         factors[row] = 0
-        if np.any(factors):
+        if factors.any():
             # columns left of col are already clear in every affected row
             r[:, col:] -= np.outer(factors, r[row, col:])
             r[:, col:] %= p
@@ -226,11 +227,17 @@ class Echelon:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of F_p^ambient with canonical RREF basis rows."""
+    """A subspace of F_p^ambient with canonical RREF basis rows.
+
+    It keeps the basis's pivot columns.  Row k of the basis has a 1 in
+    column pivots[k] and every other row a 0 there, so a vector v lies in
+    the space iff v = v[pivots] @ basis (mod p).
+    """
 
     p: int
     ambient: int
     basis: Array  # shape (dim, ambient), canonical RREF, pivot-sorted
+    pivots: Array  # shape (dim,), the pivot column of each basis row
 
     @property
     def dim(self) -> int:
@@ -250,18 +257,15 @@ class Subspace:
         return f"Subspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"
 
     def contains(self, v: Array) -> bool:
-        ech = Echelon(self.p, self.ambient)
-        for row in self.basis:
-            ech.add(row)
-        return ech.contains(asmod(v, self.p))
+        """True iff the vector v lies in the space; for a 2-D v, iff every
+        row of v does."""
+        v = asmod(v, self.p)
+        return bool(np.array_equal(v, (v[..., self.pivots] @ self.basis) % self.p))
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient or other.p != self.p:
             raise ValueError("ambient or modulus mismatch")
-        ech = Echelon(self.p, self.ambient)
-        for row in self.basis:
-            ech.add(row)
-        return all(ech.contains(row) for row in other.basis)
+        return self.contains(other.basis)
 
 
 def span(p: int, ambient: int, rows) -> Subspace:
@@ -269,12 +273,14 @@ def span(p: int, ambient: int, rows) -> Subspace:
     check_prime(p)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, ambient)
     if rows.shape[0] == 0:
-        basis = zeros(0, ambient)
+        basis, pivots = zeros(0, ambient), []
     else:
         r, pivots = rref(rows, p)
         basis = r[: len(pivots)].copy()
+    pivots = np.array(pivots, dtype=np.intp)
     basis.setflags(write=False)
-    return Subspace(p, ambient, basis)
+    pivots.setflags(write=False)
+    return Subspace(p, ambient, basis, pivots)
 
 
 def zero_space(p: int, ambient: int) -> Subspace:
@@ -333,17 +339,16 @@ def kernel_matrix(a: Array, p: int) -> Array:
     if n == 0:
         return zeros(0, 0)
     r, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    if len(pivots) == n:
         return zeros(0, n)
-    rows = []
-    for f in free:
-        x = np.zeros(n, dtype=np.int64)
-        x[f] = 1
-        for row, col in enumerate(pivots):
-            x[col] = (-r[row, f]) % p
-        rows.append(x)
-    return np.stack(rows)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    # row k: 1 at free[k], minus column free[k] of R at the pivots
+    ker = zeros(free.size, n)
+    ker[np.arange(free.size), free] = 1
+    ker[:, pivots] = (-r[: len(pivots), free].T) % p
+    return ker
 
 
 def kernel(a: Array, p: int) -> Subspace:

@@ -5,11 +5,15 @@ sigma of G.  Module elements are plain coordinate vectors (1-D numpy
 arrays); all submodules are sigma-invariant subspaces of the one ambient
 space.  Levels i = 0..n index the subgroups H_i = <sigma^(p^i)>, so
 H_0 = G and H_n is trivial.
+
+sigma is read-only, so each module computes what depends on it alone
+(fixed spaces, powers of sigma - 1, the Jordan type) once, and keeps it
+in its own cache for as long as the module lives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +26,17 @@ class GModule:
     p: int
     n: int
     dim: int
-    sigma: Array  # dim x dim, sigma^(p^n) = identity
+    sigma: Array  # dim x dim, sigma^(p^n) = identity; read-only
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def memo(cache: dict, key, compute):
+    """cache[key], computed by compute() on first use."""
+    try:
+        return cache[key]
+    except KeyError:
+        value = cache[key] = compute()
+        return value
 
 
 def make_module(p: int, n: int, sigma) -> GModule:
@@ -33,14 +47,13 @@ def make_module(p: int, n: int, sigma) -> GModule:
     sigma = fl.asmod(sigma, p)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
-    dim = sigma.shape[0]
-    if not np.array_equal(fl.mat_pow(sigma, p**n, p), fl.identity(dim)):
-        raise ValueError(f"not an order-p^n action: sigma^({p}^{n}) != identity")
-    nilp = (sigma - fl.identity(dim)) % p
-    if not np.array_equal(fl.mat_pow(nilp, p**n, p), fl.zeros(dim, dim)):
-        raise AssertionError("(sigma - 1)^(p^n) != 0 despite sigma^(p^n) = 1")
     sigma.setflags(write=False)
-    return GModule(p, n, dim, sigma)
+    m = GModule(p, n, sigma.shape[0], sigma)
+    # sigma^(p^n) - 1 = (sigma - 1)^(p^n) in characteristic p; the power
+    # stays cached for fixed_points(m, n)
+    if np.any(op_pow(m, p**n)):
+        raise ValueError(f"not an order-p^n action: sigma^({p}^{n}) != identity")
+    return m
 
 
 def jordan_sigma(p: int, sizes: list[int]) -> Array:
@@ -56,12 +69,22 @@ def jordan_sigma(p: int, sizes: list[int]) -> Array:
 
 
 def op(m: GModule) -> Array:
-    """The nilpotent operator sigma - 1."""
-    return (m.sigma - fl.identity(m.dim)) % m.p
+    """The nilpotent operator sigma - 1 (read-only)."""
+    return op_pow(m, 1)
 
 
 def op_pow(m: GModule, k: int) -> Array:
-    return fl.mat_pow(op(m), k, m.p)
+    """(sigma - 1)^k, read-only; computed once per module and k."""
+
+    def compute():
+        if k == 1:
+            power = (m.sigma - fl.identity(m.dim)) % m.p
+        else:
+            power = fl.mat_pow(op(m), k, m.p)
+        power.setflags(write=False)
+        return power
+
+    return memo(m._cache, ("op_pow", k), compute)
 
 
 def length(m: GModule, u) -> int:
@@ -111,8 +134,28 @@ def fixed_points(m: GModule, i: int) -> Subspace:
     """M^{H_i} = ker(sigma^(p^i) - 1); i = 0 gives M^G, i = n the full space."""
     if not 0 <= i <= m.n:
         raise ValueError(f"level {i} out of range 0..{m.n}")
-    mat = (fl.mat_pow(m.sigma, m.p**i, m.p) - fl.identity(m.dim)) % m.p
-    return fl.kernel(mat, m.p)
+    # sigma^(p^i) - 1 = (sigma - 1)^(p^i) in characteristic p
+    return memo(m._cache, ("fixed", i), lambda: fl.kernel(op_pow(m, m.p**i), m.p))
+
+
+def subgroup_module(m: GModule, j: int) -> GModule:
+    """M as a module over H_j, with generator sigma^(p^j) and height n - j.
+
+    An order-p^n action raised to p^j has order dividing p^(n-j), so
+    make_module's checks are not repeated.  The H_i-fixed part for
+    sigma^(p^j) is M's H_(i+j)-fixed part, so M's cached fixed spaces
+    carry over.
+    """
+    if not 0 <= j <= m.n:
+        raise ValueError(f"level {j} out of range 0..{m.n}")
+    sigma = (fl.identity(m.dim) + op_pow(m, m.p**j)) % m.p
+    sigma.setflags(write=False)
+    sub = GModule(m.p, m.n - j, m.dim, sigma)
+    for i in range(sub.n + 1):
+        key = ("fixed", i + j)
+        if key in m._cache:
+            sub._cache[("fixed", i)] = m._cache[key]
+    return sub
 
 
 def jordan_type(m: GModule) -> list[int]:
@@ -120,7 +163,12 @@ def jordan_type(m: GModule) -> list[int]:
 
     Computed from the kernel-dimension sequence of powers of sigma - 1
     (rank sequence of the shrinking image chain); no basis change.
+    Computed once per module; each call returns a fresh list.
     """
+    return list(memo(m._cache, "jordan_type", lambda: tuple(_jordan_type(m))))
+
+
+def _jordan_type(m: GModule) -> list[int]:
     if m.dim == 0:
         return []
     dims = [0]
@@ -145,13 +193,7 @@ def jordan_type(m: GModule) -> list[int]:
 
 
 def is_invariant(m: GModule, s: Subspace) -> bool:
-    if s.dim == 0:
-        return True
-    mapped = (s.basis @ m.sigma.T) % m.p
-    ech = fl.Echelon(m.p, m.dim)
-    for row in s.basis:
-        ech.add(row)
-    return all(ech.contains(row) for row in mapped)
+    return s.contains((s.basis @ m.sigma.T) % m.p)
 
 
 def independent_sum_check(m: GModule, parts: list[Subspace]) -> bool:
@@ -192,14 +234,11 @@ def restricted_matrix(m: GModule, u: Subspace) -> Array:
     """Matrix of sigma on U in U's canonical basis; U must be invariant."""
     if u.dim == 0:
         return fl.zeros(0, 0)
-    cols = []
-    for row in u.basis:
-        img = (m.sigma @ row) % m.p
-        c = fl.solve(u.basis.T, img, m.p)
-        if c is None:
-            raise ValueError("subspace is not sigma-invariant")
-        cols.append(c)
-    return np.stack(cols, axis=1)
+    images = (u.basis @ m.sigma.T) % m.p
+    if not u.contains(images):
+        raise ValueError("subspace is not sigma-invariant")
+    # coordinates in the RREF basis are the entries at its pivots
+    return images[:, u.pivots].T
 
 
 def _free_block_size(m: GModule, u: Subspace, name: str) -> int:

@@ -168,22 +168,50 @@ def _cyclotomic_shifted(p: int, power: int) -> list[int]:
     return out
 
 
+def _gf_poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r and deg r < deg b over F_p; b is trimmed
+    and nonzero, a reduced mod p."""
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    r = _poly_trim(list(a))
+    while len(r) >= len(b):
+        c = r[-1] * inv % p
+        off = len(r) - len(b)
+        q[off] = c
+        for j in range(len(b)):
+            r[off + j] = (r[off + j] - c * b[j]) % p
+        _poly_trim(r)
+    return q, r
+
+
 def _gf_poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b over F_p (its degree is what callers read)."""
     a = _poly_trim([x % p for x in a])
     b = _poly_trim([x % p for x in b])
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bb = [x * inv % p for x in b]
-        r = list(a)
-        while r and len(r) >= len(bb):
-            c = r[-1]
-            if c:
-                off = len(r) - len(bb)
-                for j in range(len(bb)):
-                    r[off + j] = (r[off + j] - c * bb[j]) % p
-            _poly_trim(r)
-        a, b = bb, r
+        a, b = b, _gf_poly_divmod(a, b, p)[1]
     return a
+
+
+def _gf_poly_inverse(a: list[int], f: list[int], p: int) -> list[int]:
+    """a^-1 mod (f, p) as deg f coefficients, by the extended Euclidean
+    algorithm; ZeroDivisionError unless a is prime to f mod p."""
+    d = len(f) - 1
+    # invariant: s_k * a = r_k mod f, starting from (0, f) and (1, a)
+    r0, r1 = _poly_trim([c % p for c in f]), _poly_trim([c % p for c in a])
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _gf_poly_divmod(r0, r1, p)
+        qs1 = [0] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                qs1[i + j] += qi * sj
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_trim(_poly_add(s0, [-c for c in qs1], p))
+    if len(r0) != 1:
+        raise ZeroDivisionError("not a unit")
+    c = pow(r0[0], p - 2, p)
+    return [x * c % p for x in s0] + [0] * (d - len(s0))
 
 
 def _small_prime(q: int) -> bool:
@@ -532,12 +560,7 @@ class LocalTower:
             if c0 == 0:
                 raise ZeroDivisionError("not a unit")
             return [pow(c0, p - 2, p)] + [0] * (d - 1)
-        fbar = [c % p for c in self.fpoly]
-        ubar = [v % p for v in u]
-        if all(v == 0 for v in ubar):
-            raise ZeroDivisionError("not a unit")
-        out = _poly_powmod(ubar, p**d - 2, fbar, p)
-        return out + [0] * (d - len(out))
+        return _gf_poly_inverse(u, self.fpoly, p)
 
     def powi(self, x: LFElement, e: int) -> LFElement:
         if e < 0:

@@ -19,7 +19,7 @@ import numpy as np
 from . import fp_linalg as fl
 from . import gmod
 from .datum import NEG_INF, GaloisDatum, LevelData, level_from_str, level_str
-from .fp_linalg import Array
+from .fp_linalg import Array, Subspace
 
 
 @dataclass(frozen=True)
@@ -145,22 +145,13 @@ def synthesize(params: SynthParams) -> GaloisDatum:
 
     sigma_big = sigma
 
-    def make_coords(basis: Array, d_im: int):
-        # the basis rows are canonical RREF, so coordinates are pivot reads
-        pivots = np.argmax(basis != 0, axis=1) if d_im else np.zeros(0, dtype=np.int64)
-
-        def coords_in_basis(w: Array) -> Array:
-            w = w % p
-            if d_im == 0:
-                if np.any(w):
-                    raise AssertionError("vector outside the eps image")
-                return np.zeros(0, dtype=np.int64)
-            c = w[pivots]
-            if np.any((c @ basis - w) % p):
-                raise AssertionError("vector outside the eps image")
-            return c
-
-        return coords_in_basis
+    def coords(im_eps: Subspace, w: Array) -> Array:
+        """Coordinates of each row of w in the canonical RREF basis of
+        im_eps: the entries at its pivots."""
+        w = w % p
+        if not im_eps.contains(w):
+            raise AssertionError("vector outside the eps image")
+        return w[:, im_eps.pivots]
 
     levels = []
     for i in range(n + 1):
@@ -175,19 +166,15 @@ def synthesize(params: SynthParams) -> GaloisDatum:
         if d_im:
             eps[:, :d_im] = basis.T
 
-        coords_in_basis = make_coords(basis, d_im)
-
         sigma_i = fl.zeros(di, di)
-        for t in range(d_im):
-            sigma_i[:d_im, t] = coords_in_basis((sigma_big @ basis[t]) % p)
+        sigma_i[:d_im, :d_im] = coords(im_eps, basis @ sigma_big.T).T
         if with_a:
             sigma_i[d_im, d_im] = 1  # a_i is a fixed class
         space = gmod.make_module(p, i, sigma_i)
 
-        drop = fl.mat_pow((sigma_big - fl.identity(dim)) % p, p**n - p**i, p)
+        drop = gmod.op_pow(jmod, p**n - p**i)
         norm = fl.zeros(di, dim)
-        for t in range(dim):
-            norm[:d_im, t] = coords_in_basis(drop[:, t])
+        norm[:d_im, :] = coords(im_eps, drop.T).T
         if with_a:
             norm[d_im, :] = phi
 
@@ -205,7 +192,7 @@ def synthesize(params: SynthParams) -> GaloisDatum:
                 "d_im": d_im,
                 "with_a": with_a,
                 "a_class": a_class,
-                "coords": coords_in_basis,
+                "im_eps": im_eps,
             }
         )
 
@@ -222,13 +209,11 @@ def synthesize(params: SynthParams) -> GaloisDatum:
                 # inter-norm to agree with the level-j norm outright
                 inter[j] = lj["norm"].copy()
                 continue
-            drop = fl.mat_pow((sigma_big - fl.identity(dim)) % p, p**i - p**j, p)
+            drop = gmod.op_pow(jmod, p**i - p**j)
             di = li["space"].dim
             dj = lj["space"].dim
             mtx = fl.zeros(dj, di)
-            for t in range(li["d_im"]):
-                w = (drop @ li["basis"][t]) % p
-                mtx[: lj["d_im"], t] = lj["coords"](w)
+            mtx[: lj["d_im"], : li["d_im"]] = coords(lj["im_eps"], li["basis"] @ drop.T).T
             if li["with_a"] and lj["with_a"]:
                 mtx[lj["d_im"], li["d_im"]] = 1
             inter[j] = mtx

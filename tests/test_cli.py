@@ -257,3 +257,33 @@ def test_datum_json_with_p_above_bound_refused(tmp_path, capsys, no_prime_work):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the supported bound P_MAX" in one_line(captured.err)
+
+
+def test_invariants_refuses_invalid_datum(tmp_path, capsys):
+    datum, _ = readme_example(tmp_path)
+    obj = json.loads(read(datum))
+    obj["levels"][0]["a_class"] = [[1]]
+    datum.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["invariants", "--in", str(datum)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_line(captured.err).startswith("invalid datum: level 0: a_class shape")
+
+
+def test_inter_norm_that_is_not_an_object_is_refused(tmp_path, capsys):
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(datum))
+    obj["levels"][1]["inter_norm"] = [1]
+    datum.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (
+        ["decompose", "--in", str(datum)],
+        ["verify", "--in", str(datum), "--decomposition", str(dec)],
+        ["invariants", "--in", str(datum)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = one_line(captured.err)
+        assert err.startswith("cannot read") and "inter_norm is not an object" in err

@@ -1,5 +1,6 @@
 """Datum axioms, the invariant m, restriction, and norm-equation solving."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,12 +16,14 @@ from galmod.datum import (
     e_ranks,
     exceptional_search,
     i_via_theorem3,
+    norm_filtration,
     restrict,
     solve_norm_equation,
     theorem3_level_raw,
     validate,
 )
-from galmod.gmod import cyclic_submodule, length
+from galmod.gmod import cyclic_submodule, fixed_points, length, make_module
+from galmod.sweep import enumerate_sweep
 from galmod.synth import SynthParams, random_params, synthesize
 
 
@@ -204,3 +207,38 @@ def test_json_schema_field_order():
 def test_json_malformed():
     with pytest.raises(ValueError, match="malformed"):
         datum_from_json({"p": 3})
+
+
+def test_restricted_fixed_spaces_match_fresh_modules_over_sweep_data():
+    for idx, params in enumerate(enumerate_sweep(per_cell=1)):
+        p, n = params.p, params.n
+        if n < 2:
+            continue
+        d = synthesize(dataclasses.replace(params, shuffle_seed=idx))
+        if idx % 2:
+            validate(d)  # J's fixed spaces cached before restricting
+        for j in range(1, n):
+            sub = restrict(d, j)
+            fresh = make_module(p, n - j, fl.mat_pow(d.J.sigma, p**j, p))
+            assert np.array_equal(sub.J.sigma, fresh.sigma)
+            for i in range(n - j + 1):
+                assert sub.fixed(i) == fixed_points(fresh, i), (params, j, i)
+
+
+def test_datum_caches_recompute_after_clear():
+    d = synthesize(SynthParams(p=3, n=2, m=1, e=(1, 1, 1), shuffle_seed=3))
+    report = exceptional_search(d)
+    assert exceptional_search(d) is report
+    with pytest.raises(ValueError):
+        report.delta[0] = 1
+    d._cache.clear()
+    again = exceptional_search(d)
+    assert again is not report
+    assert again.m == report.m and np.array_equal(again.delta, report.delta)
+    spaces = norm_filtration(d)
+    spaces.pop()
+    assert len(norm_filtration(d)) == d.n + 1
+    # the hypotheses are checked on every call, not cached with the report
+    d.xi_in_F = False
+    with pytest.raises(HypothesisError):
+        exceptional_search(d)

@@ -197,3 +197,69 @@ def test_check_prime_refuses_p_above_bound(monkeypatch):
     for p in (fl.P_MAX + 1, 1000000000000000003):
         with pytest.raises(ValueError, match="P_MAX"):
             fl.check_prime(p)
+
+
+def _random_subspace(rng, p, ambient):
+    """A random subspace, sometimes the zero space or the full space."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return fl.zero_space(p, ambient)
+    if kind == 1:
+        return fl.full_space(p, ambient)
+    rows = [[rng.randrange(p) for _ in range(ambient)] for _ in range(rng.randrange(1, ambient + 2))]
+    return fl.span(p, ambient, rows)
+
+
+def test_pivot_membership_agrees_with_echelon_oracle():
+    rng = random.Random(4)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        ambient = rng.randrange(1, 7)
+        s = _random_subspace(rng, p, ambient)
+        oracle = fl.Echelon(p, ambient)
+        for row in s.basis:
+            oracle.add(row)
+        assert list(s.pivots) == [int(np.nonzero(row)[0][0]) for row in s.basis]
+        inside = np.array([rng.randrange(p) for _ in range(s.dim)], dtype=np.int64) @ s.basis
+        for v in (inside, np.array([rng.randrange(-p, 2 * p) for _ in range(ambient)])):
+            assert s.contains(v) == oracle.contains(v % p)
+        assert s.contains(inside)
+        t = _random_subspace(rng, p, ambient)
+        assert s.contains_space(t) == all(oracle.contains(row) for row in t.basis)
+        assert s.contains(t.basis) == s.contains_space(t)
+        assert s.contains_space(fl.zero_space(p, ambient))
+        assert s.contains_space(fl.full_space(p, ambient)) == (s.dim == ambient)
+
+
+def test_span_basis_and_pivots_are_read_only():
+    s = fl.span(3, 3, [[1, 2, 0], [0, 1, 1]])
+    for array in (s.basis, s.pivots):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def kernel_rows_loop(a, p):
+    """Reference: one kernel row per free column, written entry by entry."""
+    r, pivots = fl.rref(a, p)
+    n = a.shape[1]
+    rows = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = np.zeros(n, dtype=np.int64)
+        x[f] = 1
+        for row, col in enumerate(pivots):
+            x[col] = (-r[row, f]) % p
+        rows.append(x)
+    return np.stack(rows) if rows else np.zeros((0, n), dtype=np.int64)
+
+
+def test_kernel_matrix_matches_loop_reference():
+    rng = random.Random(8)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7])
+        m, n, k = rng.randrange(0, 7), rng.randrange(1, 8), rng.randrange(0, 5)
+        a = (np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=np.int64)
+             .reshape(m, k) @ np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)],
+                                       dtype=np.int64).reshape(k, n)) % p
+        got = fl.kernel_matrix(a, p)
+        assert got.dtype == np.int64 and np.array_equal(got, kernel_rows_loop(a, p))
+        assert not np.any((a @ got.T) % p)

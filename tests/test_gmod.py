@@ -226,3 +226,35 @@ def test_free_module_norm_identity_quick():
     for p, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         for seed in range(8):
             assert submodule_subfield_identity(p, n, 1 + seed % 2, seed)
+
+
+def test_jordan_type_is_a_fresh_list_each_call():
+    m = conjugated(3, 2, [9, 3, 3, 1], seed=2)
+    blocks = gm.jordan_type(m)
+    assert blocks == [9, 3, 3, 1]
+    blocks.append(99)
+    blocks[0] = 0
+    assert gm.jordan_type(m) == [9, 3, 3, 1]
+
+
+def test_cached_powers_and_fixed_points_are_read_only():
+    m = conjugated(2, 2, [4, 2, 1], seed=3)
+    power = gm.op_pow(m, 2)
+    assert gm.op_pow(m, 2) is power
+    assert np.array_equal(power, fl.mat_pow((m.sigma - fl.identity(m.dim)) % 2, 2, 2))
+    fixed = gm.fixed_points(m, 1)
+    assert gm.fixed_points(m, 1) is fixed
+    for array in (power, gm.op(m), fixed.basis, fixed.pivots, m.sigma):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_subgroup_module_matches_a_fresh_module():
+    m = conjugated(3, 2, [9, 3, 2, 1], seed=5)
+    gm.fixed_points(m, 2)  # one fixed space cached beforehand, the others not
+    sub = gm.subgroup_module(m, 1)
+    fresh = gm.make_module(3, 1, fl.mat_pow(m.sigma, 3, 3))
+    assert np.array_equal(sub.sigma, fresh.sigma) and sub.n == 1
+    for i in range(2):
+        assert gm.fixed_points(sub, i) == gm.fixed_points(fresh, i) == gm.fixed_points(m, i + 1)
+    assert gm.jordan_type(sub) == gm.jordan_type(fresh)

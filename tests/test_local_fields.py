@@ -359,3 +359,23 @@ def test_dropped_tower_is_freed_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("spec", [(3, "unramified", 1, 40), (5, "unramified", 1, 28)])
+def test_residue_inverse_matches_power_form(spec):
+    tw = make_tower(*spec)
+    p, d = tw.p, tw.deg
+    fbar = [c % p for c in tw.fpoly]
+    rng = random.Random(d)
+    for _ in range(200):
+        u = [rng.randrange(p) for _ in range(d)]
+        if not any(u):
+            continue
+        power = lf._poly_powmod(u, p**d - 2, fbar, p)
+        assert tw._residue_inverse(u) == power + [0] * (d - len(power))
+        # lifted coefficients reduce to the same residue
+        assert tw._residue_inverse([c + p * rng.randrange(5) for c in u]) == tw._residue_inverse(u)
+    with pytest.raises(ZeroDivisionError):
+        tw._residue_inverse([0] * d)
+    with pytest.raises(ZeroDivisionError):
+        tw._residue_inverse([p] * d)
