@@ -216,7 +216,7 @@ def _cmd_jordan(args) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         m = make_module(int(obj["p"]), int(obj["n"]), obj["sigma"])
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
         print(f"cannot read module: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(jordan_type(m))

@@ -94,6 +94,15 @@ class GaloisDatum:
             self._cache, ("norm_kernel", i), lambda: fl.kernel(self.levels[i].norm, self.p)
         )
 
+    def a_line(self, i: int) -> Subspace:
+        """<a_i> in J(K_i), for a level that carries an a-class."""
+        lv = self.levels[i]
+        return gmod.memo(
+            self._cache,
+            ("a_line", i),
+            lambda: fl.span(self.p, lv.space.dim, lv.a_class.reshape(1, -1)),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class ExceptionalReport:
@@ -170,9 +179,7 @@ def validate(d: GaloisDatum) -> list[str]:
 
         # kernel of eps
         ker = fl.kernel(lv.eps, p)
-        a_line = None
-        if lv.a_class is not None and i < n:
-            a_line = fl.span(p, di, lv.a_class.reshape(1, di))
+        a_line = d.a_line(i) if lv.a_class is not None and i < n else None
         if d.xi_in_F and i < n:
             if a_line is None:
                 v.append(f"level {i}: xi in F but a-class missing")
@@ -195,39 +202,47 @@ def validate(d: GaloisDatum) -> list[str]:
                 if not np.array_equal((mtx @ lv.a_class) % p, aj % p):
                     v.append(f"level {i}: inter_norm does not send a_{i} to a_{j}")
 
-        # exact sequence at J^{H_i} (levels below the top only)
         if i < n:
-            fixed_i = d.fixed(i)
-            # norms of fixed elements land in <a_i>
-            norm_of_fixed = fl.apply_to_space(lv.norm, fixed_i)
-            if a_line is not None:
-                if not a_line.contains_space(norm_of_fixed):
-                    v.append(f"level {i}: norms of fixed classes leave <a_{i}>")
-            else:
-                if norm_of_fixed.dim != 0:
-                    v.append(f"level {i}: norms of fixed classes are nonzero without xi")
-            # kernel of the norm on the fixed part is exactly image(eps)
-            ker_norm_fixed = fl.sub_intersect(fixed_i, d.norm_kernel(i))
-            if ker_norm_fixed != d.eps_image(i):
-                v.append(f"level {i}: exactness fails at the H_{i}-fixed subspace")
+            v.extend(exactness_violations(d, i))
 
-    # fixed submodule shape: dim(J^G / im eps_0) <= 1, gap 1 iff a fixed
-    # class with nontrivial norm exists
+    v.extend(fixed_submodule_violations(d))
+    return v
+
+
+def exactness_violations(d: GaloisDatum, i: int) -> list[str]:
+    """The exact sequence at J^{H_i} for a level i < n: norms of fixed
+    classes land in <a_i> (in 0 without an a-class), and the kernel of
+    the norm on the fixed part is exactly image(eps_i)."""
+    lv = d.levels[i]
+    v: list[str] = []
+    fixed_i = d.fixed(i)
+    norm_of_fixed = fl.apply_to_space(lv.norm, fixed_i)
+    if lv.a_class is not None:
+        if not d.a_line(i).contains_space(norm_of_fixed):
+            v.append(f"level {i}: norms of fixed classes leave <a_{i}>")
+    elif norm_of_fixed.dim != 0:
+        v.append(f"level {i}: norms of fixed classes are nonzero without xi")
+    if fl.sub_intersect(fixed_i, d.norm_kernel(i)) != d.eps_image(i):
+        v.append(f"level {i}: exactness fails at the H_{i}-fixed subspace")
+    return v
+
+
+def fixed_submodule_violations(d: GaloisDatum) -> list[str]:
+    """The fixed submodule shape: dim(J^G / im eps_0) <= 1, with gap 1
+    exactly when a fixed class has a nontrivial norm."""
     fixed0 = d.fixed(0)
     im0 = d.eps_image(0)
     if im0.dim > fixed0.dim or not fixed0.contains_space(im0):
-        v.append("image(eps_0) not inside J^G")
-    else:
-        gap = fixed0.dim - im0.dim
-        norm0_on_fixed = fl.apply_to_space(d.levels[0].norm, fixed0)
-        if gap > 1:
-            v.append(f"dim(J^G / im eps_0) = {gap} > 1")
-        elif gap == 1 and norm0_on_fixed.dim == 0:
-            v.append("J^G exceeds im eps_0 but no fixed class has a nontrivial norm")
-        elif gap == 0 and norm0_on_fixed.dim != 0:
-            v.append("fixed class with nontrivial norm despite J^G = im eps_0")
-
-    return v
+        return ["image(eps_0) not inside J^G"]
+    gap = fixed0.dim - im0.dim
+    norm0_on_fixed = fl.apply_to_space(d.levels[0].norm, fixed0)
+    if gap > 1:
+        return [f"dim(J^G / im eps_0) = {gap} > 1"]
+    if gap == 1 and norm0_on_fixed.dim == 0:
+        return ["J^G exceeds im eps_0 but no fixed class has a nontrivial norm"]
+    if gap == 0 and norm0_on_fixed.dim != 0:
+        return ["fixed class with nontrivial norm despite J^G = im eps_0"]
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -338,7 +338,7 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 def decomposition_from_json(obj: dict) -> Decomposition:
     try:
-        p = int(obj["p"])
+        p = fl.check_prime(obj["p"])  # before any reduction mod p
         n = int(obj["n"])
         m = level_from_str(obj["m"])
         xg = obj.get("x_generator")

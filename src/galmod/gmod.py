@@ -50,8 +50,11 @@ def make_module(p: int, n: int, sigma) -> GModule:
     sigma.setflags(write=False)
     m = GModule(p, n, sigma.shape[0], sigma)
     # sigma^(p^n) - 1 = (sigma - 1)^(p^n) in characteristic p; the power
-    # stays cached for fixed_points(m, n)
-    if np.any(op_pow(m, p**n)):
+    # stays cached for fixed_points(m, n).  A nilpotent operator vanishes
+    # at every power >= dim, and p^t >= 2^t >= dim, so for n > t the power
+    # p^t decides the same question without building a huge p^n.
+    t = max(m.dim - 1, 0).bit_length()
+    if np.any(op_pow(m, p ** min(n, t))):
         raise ValueError(f"not an order-p^n action: sigma^({p}^{n}) != identity")
     return m
 

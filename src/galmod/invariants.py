@@ -19,7 +19,9 @@ from .datum import (
     GaloisDatum,
     HypothesisError,
     InconsistencyError,
+    exactness_violations,
     exceptional_search,
+    fixed_submodule_violations,
     i_via_theorem3,
     solve_norm_equation,
     validate,
@@ -28,32 +30,14 @@ from .datum import (
 
 def exact_sequence_checks(d: GaloisDatum, report: dict):
     """Exactness at each H_i-fixed subspace, with the a_i-span condition."""
-    p, n = d.p, d.n
-    for i in range(n):
-        lv = d.levels[i]
-        fixed_i = d.fixed(i)
-        norm_of_fixed = fl.apply_to_space(lv.norm, fixed_i)
-        if lv.a_class is not None:
-            a_line = fl.span(p, lv.space.dim, lv.a_class.reshape(1, -1))
-            cond_a = a_line.contains_space(norm_of_fixed)
-        else:
-            cond_a = norm_of_fixed.dim == 0
-        ker_on_fixed = fl.sub_intersect(fixed_i, d.norm_kernel(i))
-        report[f"exact-sequence.L{i}"] = bool(
-            cond_a and ker_on_fixed == d.eps_image(i)
-        )
+    for i in range(d.n):
+        report[f"exact-sequence.L{i}"] = not exactness_violations(d, i)
 
 
 def fixed_submodule_check(d: GaloisDatum, report: dict):
     """dim(J^G / im eps_0) <= 1, with the gap exactly when a fixed class
     has a nontrivial norm."""
-    fixed0 = d.fixed(0)
-    im0 = d.eps_image(0)
-    gap = fixed0.dim - im0.dim
-    has_fixed_norm = fl.apply_to_space(d.levels[0].norm, fixed0).dim > 0
-    report["fixed-submodule"] = bool(
-        fixed0.contains_space(im0) and gap in (0, 1) and (gap == 1) == has_fixed_norm
-    )
+    report["fixed-submodule"] = not fixed_submodule_violations(d)
 
 
 def proper_subfield_checks(d: GaloisDatum, report: dict):
@@ -70,10 +54,8 @@ def norm_lemma_check(d: GaloisDatum, report: dict):
     p, n = d.p, d.n
     t_short = fl.kernel(d.op_pow(p**n - 1), p)
     image = fl.apply_to_space(d.levels[0].norm, t_short)
-    a0 = d.levels[0].a_class
-    if a0 is not None:
-        a_line = fl.span(p, d.levels[0].space.dim, a0.reshape(1, -1))
-        report["norm-lemma"] = bool(a_line.contains_space(image))
+    if d.levels[0].a_class is not None:
+        report["norm-lemma"] = bool(d.a_line(0).contains_space(image))
     else:
         report["norm-lemma"] = bool(image.dim == 0)
 

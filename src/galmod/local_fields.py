@@ -32,8 +32,11 @@ Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
 an additive Artin-Schreier step c -> c^p + eta*c at the critical level,
 and a new basis class at each remaining slot.  Membership in the p-th
-powers is decided constructively by digit-by-digit back-substitution
-(pth_root).
+powers is decided by the same walk at the top level (pth_root): x is a
+p-th power iff the walk leaves no class coordinate and no uncancelled
+level, and the root is assembled from the Teichmuller root of the
+leading residue, the bases of the p-th powers the walk divided out, and
+the p-th root of the deep remainder (``_deep_root``).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class PrecisionError(ArithmeticError):
 
 
 class NotPthPower(ValueError):
-    """Constructive p-th root extraction ran out of digit moves."""
+    """pth_root was given an element that is not a p-th power."""
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +596,11 @@ class LocalTower:
     def _galois_setup(self):
         p, d, mod = self.p, self.deg, self.modulus
         if self.kind == CYCLOTOMIC:
-            u = 5 if p == 2 else 1 + p
-            self.sigma_exponent = u
-            zu = _poly_powmod([1, 1], u, self.fpoly, mod)
-            zu[0] = (zu[0] - 1) % mod
-            gen_image = zu
+            # zeta -> zeta^u, so the generator pi = zeta - 1 goes to zeta^u - 1
+            gen_image = _poly_powmod([1, 1], 5 if p == 2 else 1 + p, self.fpoly, mod)
+            gen_image[0] = (gen_image[0] - 1) % mod
         else:
             gen_image = self._frobenius_root()
-        self.sigma_gen_poly = gen_image
 
         cols = []
         col = [1] + [0] * (d - 1)
@@ -823,77 +823,31 @@ class LocalTower:
     # -- p-th roots ----------------------------------------------------------------
 
     def pth_root(self, x: LFElement) -> LFElement:
-        """A y with y^p = x by digit-by-digit back-substitution; raises
-        NotPthPower when some filtration digit cannot be matched."""
-        p, e = self.p, self.e
+        """A y with y^p = x; raises NotPthPower unless x is a p-th power.
+
+        The 1-unit part of x goes through the level-n class reduction,
+        which divides out p-th powers base^p level by level; x is a p-th
+        power iff no class coordinate and no uncancelled level remain.
+        """
+        p = self.p
         if x.is_zero:
             return self.zero
         if x.val % p:
             raise NotPthPower("valuation is not divisible by p")
-        crit = p * e // (p - 1) if (p * e) % (p - 1) == 0 else None
-        jstar = (p * e) // (p - 1)
-
         unit = LFElement(self, 0, x.unit, None if x.aprec is None else x.aprec - x.val)
-        res = self.residue(unit)
-        t_root = self.teichmuller(self._residue_frob_inverse(res))
-        v = t_root
-        r = self.mul(unit, self.inv(self.powi(t_root, p)))
-        eta = self._critical_eta() if crit is not None else None
-
-        for _ in range(4 * (jstar + self.cp) + 16):
-            diff = self.add(r, self.neg(self.one))
-            if diff.is_zero:
-                break
-            s = diff.val
-            if s > jstar:
-                v = self.mul(v, self._deep_root(r))
-                break
-            gamma = self.residue(LFElement(self, 0, diff.unit, None))
-            if crit is not None and s == crit:
-                delta = self._solve_critical(gamma, eta)
-                if delta is None:
-                    raise NotPthPower(f"critical digit at level {s} unmatched")
-                t = e // (p - 1)
-            elif s % p == 0 and (crit is None or s < crit):
-                delta = self._residue_frob_inverse(gamma)
-                t = s // p
-            else:
-                raise NotPthPower(f"no digit move available at level {s}")
-            w = self.add(self.one, self.mul(self.res_lift(delta), self.powi(self.pi, t)))
-            v = self.mul(v, w)
-            r = self.mul(r, self.inv(self.powi(w, p)))
-        else:
-            raise AssertionError("digit loop failed to converge")
-        return self.mul(v, self.powi(self.pi, x.val // p))
-
-    def _critical_eta(self):
-        unit = self.mul(self.from_int(self.p), self.powi(self.inv(self.pi), self.e))
-        if unit.val != 0:
-            raise AssertionError("p/pi^e is not a unit")
-        return self.residue(unit)
-
-    def _solve_critical(self, gamma, eta):
-        """delta with delta^p + eta*delta = gamma in the residue field."""
-        p = self.p
-        if self.kind == CYCLOTOMIC:
-            g = int(gamma) % p
-            a = (1 + int(eta)) % p  # c^p = c on F_p
-            if a == 0:
-                return 0 if g == 0 else None
-            return g * pow(a, p - 2, p) % p
-        frob = self._residue_frobenius_matrix()
-        mult = self._residue_mult_matrix(eta)
-        sol = fl.solve((frob + mult) % p, np.array(gamma, dtype=np.int64) % p, p)
-        return None if sol is None else tuple(int(v) for v in sol)
-
-    def _residue_mult_matrix(self, eta) -> Array:
-        p, d = self.p, self.deg
-        fbar = [c % p for c in self.fpoly]
-        cols = []
-        for j in range(d):
-            img = _poly_mulmod(list(eta), [0] * j + [1], fbar, p)
-            cols.append(img + [0] * (d - len(img)))
-        return np.array(cols, dtype=np.int64).T % p
+        root = self.teichmuller(self._residue_frob_inverse(self.residue(unit)))
+        bases: list[LFElement] = []
+        coords, rest, lead = self.classes(self.n)._reduce(
+            self.mul(unit, self.inv(self.powi(root, p))), bases
+        )
+        if lead is not None:
+            raise NotPthPower(f"level {lead[0]} is not cancelled by a p-th power")
+        if np.any(coords):
+            raise NotPthPower("the class in K^x/(K^x)^p is nonzero")
+        for base in bases:
+            root = self.mul(root, base)
+        root = self.mul(root, self._deep_root(rest))
+        return self.mul(root, self.powi(self.pi, x.val // p))
 
     def _deep_root(self, r: LFElement) -> LFElement:
         """p-th root of a unit deep in the filtration by w *= 1 + err/p."""
@@ -1017,37 +971,24 @@ class _LevelClasses:
 
     def _free_map(self, j: int) -> Array | None:
         """F_p-matrix whose image is cancellable at level j by p-th powers."""
-        t = self.t
-        p = t.p
+        p = self.t.p
         if self.crit is not None and j == self.crit:
-            return (self._frob_sub + self._mult_matrix(self.eta_res)) % p
+            # only cyclotomic levels have a critical level (p odd, e_i = 1
+            # has none), and there the residue field is F_p: c -> c + eta*c
+            return (self._frob_sub + self.eta_res) % p
         if j % p == 0 and (self.crit is None or j < self.crit):
             return self._frob_sub
         return None
 
-    def _mult_matrix(self, eta_res) -> Array:
+    def _free_base(self, j: int, delta_coords) -> LFElement:
+        """The element whose p-th power cancels level j."""
         t = self.t
-        p = t.p
-        if t.kind == CYCLOTOMIC:
-            return np.array([[int(eta_res) % p]], dtype=np.int64)
-        fbar = [c % p for c in t.fpoly]
-        cols = []
-        for b in self.res_basis:
-            img = _poly_mulmod(list(eta_res), list(b), fbar, p)
-            cols.append(self._res_coords(tuple(img + [0] * (t.deg - len(img)))))
-        return np.stack(cols, axis=1) % p
-
-    def _free_element(self, j: int, delta_coords) -> LFElement:
-        """The explicit p-th power cancelling level j."""
-        t = self.t
-        p = t.p
         if self.crit is not None and j == self.crit:
-            texp = self.e_i // (p - 1)
+            texp = self.e_i // (t.p - 1)
         else:
-            texp = j // p
+            texp = j // t.p
         lift = self._res_from_coords(delta_coords)
-        base = t.add(t.one, t.mul(lift, t.powi(self.pi_i, texp)))
-        return t.powi(base, p)
+        return t.add(t.one, t.mul(lift, t.powi(self.pi_i, texp)))
 
     def _leading(self, u: LFElement):
         """(filtration level, leading coords) of a 1-unit, or (None, None)."""
@@ -1059,9 +1000,15 @@ class _LevelClasses:
         gamma = t.residue(LFElement(t, 0, diff.unit, None))
         return s, self._res_coords(gamma)
 
-    def _reduce(self, u: LFElement):
-        """(coords over the unit basis, residual); residual is None when u
-        reduced to a p-th power, else (element, level, leading coords)."""
+    def _reduce(self, u: LFElement, bases: list | None = None):
+        """Cancel the leading terms of the 1-unit u level by level.
+
+        Returns (coords over the unit basis, what is left of u, its lead).
+        The lead is None when u reduced past jstar, where every 1-unit is
+        a p-th power; else it is (level, leading coords) of the first
+        level that neither the unit basis nor a p-th power cancels.  Each
+        p-th power divided out is base^p, and base is appended to bases.
+        """
         t = self.t
         p = t.p
         coords = np.zeros(len(self.unit_basis), dtype=np.int64)
@@ -1069,7 +1016,7 @@ class _LevelClasses:
         for _ in range(4 * (self.jstar + t.cp) + 16):
             s, gamma = self._leading(u)
             if s is None or s > self.jstar:
-                return coords, None
+                return coords, u, None
             if s <= prev:
                 raise AssertionError("reduction failed to advance the filtration")
             prev = s
@@ -1087,7 +1034,7 @@ class _LevelClasses:
                 amat = np.concatenate(blocks, axis=1) % p
                 sol = fl.solve(amat, gamma, p)
             if sol is None:
-                return coords, (u, s, gamma)
+                return coords, u, (s, gamma)
             k = len(same)
             for (idx, _), c in zip(same, sol[:k]):
                 c = int(c) % p
@@ -1095,7 +1042,10 @@ class _LevelClasses:
                     coords[idx] = (coords[idx] + c) % p
                     u = t.mul(u, t.powi(self.unit_basis[idx][1], c))
             if free is not None and np.any(sol[k:] % p):
-                u = t.mul(u, t.inv(self._free_element(s, sol[k:])))
+                base = self._free_base(s, sol[k:])
+                if bases is not None:
+                    bases.append(base)
+                u = t.mul(u, t.inv(t.powi(base, p)))
         raise AssertionError("reduction loop failed to converge")
 
     def _build(self):
@@ -1104,10 +1054,10 @@ class _LevelClasses:
             for res in self.res_basis:
                 lift = t.res_lift(res)
                 cand = t.add(t.one, t.mul(lift, t.powi(self.pi_i, j)))
-                _, residual = self._reduce(cand)
-                if residual is not None:
-                    red, lv, lead = residual
-                    self.unit_basis.append((t._own(red), t._own(t.inv(red)), lv, lead))
+                _, red, lead = self._reduce(cand)
+                if lead is not None:
+                    lv, coords = lead
+                    self.unit_basis.append((t._own(red), t._own(t.inv(red)), lv, coords))
 
     def _expected_dim(self) -> int:
         t = self.t
@@ -1128,8 +1078,8 @@ class _LevelClasses:
         unit = t.mul(x, t.powi(t.inv(self.pi_i), v))
         tpart = t.teichmuller(t.residue(unit))
         one_unit = t.mul(unit, t.inv(tpart))
-        coords, residual = self._reduce(one_unit)
-        if residual is not None:
+        coords, _, lead = self._reduce(one_unit)
+        if lead is not None:
             raise AssertionError("element escaped the computed class basis")
         out = np.zeros(self.dim, dtype=np.int64)
         out[0] = v % p
@@ -1182,39 +1132,20 @@ def build_datum(tower: LocalTower) -> GaloisDatum:
     p, n = tower.p, tower.n
     xi = tower.kind == CYCLOTOMIC
     bases = [tower.class_basis(i) for i in range(n + 1)]
-    dims = [len(b) for b in bases]
-    dim = dims[n]
-
-    sigma = np.zeros((dim, dim), dtype=np.int64)
-    for t, b in enumerate(bases[n]):
-        sigma[:, t] = tower.class_of(n, tower.galois(b, 1))
-    jmod = gmod.make_module(p, n, sigma)
-
     a_cls = _a_classes(tower) if xi else {}
 
     levels = []
     for i in range(n + 1):
-        di = dims[i]
-        sigma_i = np.zeros((di, di), dtype=np.int64)
-        eps = np.zeros((dim, di), dtype=np.int64)
-        for t, b in enumerate(bases[i]):
-            sigma_i[:, t] = tower.class_of(i, tower.galois(b, 1))
-            eps[:, t] = tower.class_of(n, b)
-        norm = np.zeros((di, dim), dtype=np.int64)
-        for t, b in enumerate(bases[n]):
-            norm[:, t] = tower.class_of(i, tower.norm(b, n, i))
-        inter = {}
-        for j in range(i):
-            mtx = np.zeros((dims[j], di), dtype=np.int64)
-            for t, b in enumerate(bases[i]):
-                mtx[:, t] = tower.class_of(j, tower.norm(b, i, j))
-            inter[j] = mtx
-        space = gmod.make_module(p, i, sigma_i)
+        sigma_i = _class_matrix(tower, i, [tower.galois(b, 1) for b in bases[i]])
+        inter = {
+            j: _class_matrix(tower, j, [tower.norm(b, i, j) for b in bases[i]])
+            for j in range(i)
+        }
         levels.append(
             LevelData(
-                space=space,
-                eps=eps,
-                norm=norm,
+                space=gmod.make_module(p, i, sigma_i),
+                eps=_class_matrix(tower, n, bases[i]),
+                norm=_class_matrix(tower, i, [tower.norm(b, n, i) for b in bases[n]]),
                 inter_norm=inter,
                 a_class=a_cls.get(i),
             )
@@ -1224,8 +1155,16 @@ def build_datum(tower: LocalTower) -> GaloisDatum:
     if p == 2 and n == 1:
         minus_one = _minus_one_is_norm(tower, levels[0])
     return GaloisDatum(
-        p=p, n=n, J=jmod, levels=levels, xi_in_F=xi, minus_one_is_norm=minus_one
+        p=p, n=n, J=levels[n].space, levels=levels, xi_in_F=xi, minus_one_is_norm=minus_one
     )
+
+
+def _class_matrix(tower: LocalTower, level: int, elements: list[LFElement]) -> Array:
+    """The matrix whose columns are the level-`level` classes of elements."""
+    out = np.zeros((tower.dim_class_space(level), len(elements)), dtype=np.int64)
+    for t, x in enumerate(elements):
+        out[:, t] = tower.class_of(level, x)
+    return out
 
 
 def _minus_one_is_norm(tower: LocalTower, level0: LevelData) -> bool:
@@ -1292,15 +1231,13 @@ def sample_norm_identity_cases(
     """
     rng = random.Random(seed)
     p, n = tower.p, tower.n
-    eps = _eps_matrix(tower, i)
     basis_i = tower.class_basis(i)
     basis_n = tower.class_basis(n)
 
     # sigma and eps at the class level
     dim = tower.dim_class_space(n)
-    sigma_cls = np.zeros((dim, dim), dtype=np.int64)
-    for t, b in enumerate(basis_n):
-        sigma_cls[:, t] = tower.class_of(n, tower.galois(b, 1))
+    eps = _class_matrix(tower, n, basis_i)
+    sigma_cls = _class_matrix(tower, n, [tower.galois(b, 1) for b in basis_n])
     shift = (sigma_cls - fl.identity(dim)) % p
     target_space = fl.sub_intersect(fl.image(eps, p), fl.image(shift, p))
     if target_space.dim == 0:
@@ -1342,12 +1279,3 @@ def sample_norm_identity_cases(
     if len(out) < count:
         raise RuntimeError(f"sampled only {len(out)} of {count} cases")
     return out
-
-
-def _eps_matrix(tower: LocalTower, i: int) -> Array:
-    basis_i = tower.class_basis(i)
-    dim = tower.dim_class_space(tower.n)
-    eps = np.zeros((dim, len(basis_i)), dtype=np.int64)
-    for t, b in enumerate(basis_i):
-        eps[:, t] = tower.class_of(tower.n, b)
-    return eps

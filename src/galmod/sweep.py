@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .datum import (
@@ -123,17 +123,7 @@ def run_sweep(dim_cap: int = 120, quick: bool = False) -> SweepResult:
     instances: list[SynthParams] = []
     for idx, params in enumerate(base):
         instances.append(params)
-        instances.append(
-            SynthParams(
-                p=params.p,
-                n=params.n,
-                m=params.m,
-                e=params.e,
-                xi_in_F=params.xi_in_F,
-                minus_one_is_norm=params.minus_one_is_norm,
-                shuffle_seed=7919 * (idx + 1),
-            )
-        )
+        instances.append(replace(params, shuffle_seed=7919 * (idx + 1)))
     result = SweepResult()
     result.instances = len(instances)
     t0 = time.time()

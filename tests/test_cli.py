@@ -118,6 +118,40 @@ def test_jordan_command(tmp_path, capsys):
     assert "[2, 1]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "module",
+    [
+        {"p": None, "n": 1, "sigma": [[1]]},
+        {"p": 2, "n": 1, "sigma": [[1, 0], [2**64, 1]]},
+        [2, 1, [[1]]],
+        "module",
+    ],
+    ids=["p-null", "entry-beyond-int64", "top-level-list", "top-level-string"],
+)
+def test_jordan_refuses_malformed_module(tmp_path, capsys, module):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    assert main(["jordan", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_line(captured.err).startswith("cannot read module: ")
+
+
+def test_jordan_order_check_stays_small_for_a_large_height(tmp_path, capsys, monkeypatch):
+    import galmod.gmod as gm
+
+    exponents = []
+    op_pow = gm.op_pow
+    monkeypatch.setattr(gm, "op_pow", lambda m, k: exponents.append(k) or op_pow(m, k))
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"p": 2, "n": 40, "sigma": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]}))
+    assert main(["jordan", "--in", str(path)]) == 0
+    assert "[2, 1]" in capsys.readouterr().out
+    # sigma - 1 is nilpotent on 3 dimensions, so (sigma - 1)^4 = 0 decides
+    # the order; 2^40 is never used
+    assert max(exponents) == 4
+
+
 def test_selftest_quick(capsys):
     rc = main(["selftest", "--quick"])
     assert rc == 0

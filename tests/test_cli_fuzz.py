@@ -1,5 +1,6 @@
-"""Fuzz the JSON front door: mutated datum JSON through decompose, verify
-and invariants, run in process.
+"""Fuzz the JSON front door, run in process: mutated datum JSON through
+decompose, verify and invariants, mutated decomposition JSON through
+verify, and mutated module JSON through jordan.
 
 Every run must end in a documented exit code (0 ok, 1 verification
 failure, 2 invalid input, 3 inconsistency) with no uncaught exception,
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import signal
+import warnings
 
 import pytest
 
@@ -31,6 +33,10 @@ INTER_NORM_KEYS = ("0", "1", "2", "-1", "5", "x", "", "100000000000000000000")
 TOP_FIELDS = ("p", "n", "xi_in_F", "minus_one_is_norm", "sigma", "levels")
 LEVEL_FIELDS = ("dim", "sigma_i", "eps", "norm", "inter_norm", "a_class")
 KINDS = ("type", "delete", "entry", "shape", "scalar", "levels", "inter_norm")
+DEC_FIELDS = ("p", "n", "m", "x_generator", "y_generators")
+DEC_KINDS = ("type", "delete", "entry", "shape", "scalar", "generators")
+MODULE_FIELDS = ("p", "n", "sigma")
+MODULE_KINDS = ("type", "delete", "entry", "shape", "scalar", "top")
 
 # values a hand-edited file might hold in place of the right one
 json_values = st.one_of(
@@ -48,6 +54,7 @@ json_values = st.one_of(
     ),
 )
 scalars = st.one_of(st.integers(-2, 8), st.sampled_from([2**31, 10**20, 2**63]))
+levels_m = st.sampled_from(["-inf", "n/a", "0", "1", "2", "5", "-1", "x", "", None, 0, 1.5])
 
 
 def _levels(obj):
@@ -94,26 +101,34 @@ def _reshape(draw, array):
             row.append(0)
 
 
-def _mutate(kind, draw, obj):
-    """Apply one mutation of the given kind to obj in place."""
+def _mutate_field(kind, draw, fields, arrays):
+    """A type, delete, entry or shape mutation, in place, of one of the
+    (container, key) places listed: fields for the first two, arrays for
+    the others."""
     if kind in ("type", "delete"):
-        node, key = _pick(draw, _fields(obj))
+        node, key = _pick(draw, fields)
         if node is not None and kind == "type":
             node[key] = draw(json_values)
         elif node is not None:
             del node[key]
-    elif kind in ("entry", "shape"):
-        node, key = _pick(draw, _arrays(obj))
-        if node is None or not node[key]:
-            return
-        if kind == "shape":
-            _reshape(draw, node[key])
-            return
-        array = node[key]
-        i = draw(st.integers(0, len(array) - 1))
-        if isinstance(array[i], list) and array[i]:
-            array, i = array[i], draw(st.integers(0, len(array[i]) - 1))
-        array[i] = draw(json_values)
+        return
+    node, key = _pick(draw, arrays)
+    if node is None or not node[key]:
+        return
+    if kind == "shape":
+        _reshape(draw, node[key])
+        return
+    array = node[key]
+    i = draw(st.integers(0, len(array) - 1))
+    if isinstance(array[i], list) and array[i]:
+        array, i = array[i], draw(st.integers(0, len(array[i]) - 1))
+    array[i] = draw(json_values)
+
+
+def _mutate(kind, draw, obj):
+    """Apply one mutation of the given kind to a datum JSON obj in place."""
+    if kind in ("type", "delete", "entry", "shape"):
+        _mutate_field(kind, draw, _fields(obj), _arrays(obj))
     elif kind == "scalar":
         key = draw(st.sampled_from(["p", "n", "dim"]))
         node = obj if key != "dim" else draw(st.sampled_from(_levels(obj) or [{}]))
@@ -140,6 +155,60 @@ def _mutate(kind, draw, obj):
         raise ValueError(f"unknown mutation kind {kind!r}")
 
 
+def _generators(obj):
+    gens = obj.get("y_generators")
+    return [g for g in gens if isinstance(g, dict)] if isinstance(gens, list) else []
+
+
+def _mutate_decomposition(kind, draw, obj):
+    """Apply one mutation of the given kind to a decomposition JSON obj in place."""
+    if kind in ("type", "delete", "entry", "shape"):
+        fields = [(obj, k) for k in DEC_FIELDS if k in obj]
+        fields += [(g, k) for g in _generators(obj) for k in ("level", "coords") if k in g]
+        vectors = [(obj, "x_generator")] if isinstance(obj.get("x_generator"), list) else []
+        vectors += [(g, "coords") for g in _generators(obj) if isinstance(g.get("coords"), list)]
+        _mutate_field(kind, draw, fields, vectors)
+    elif kind == "scalar":
+        key = draw(st.sampled_from(["p", "n", "m", "level"]))
+        if key == "m":
+            obj["m"] = draw(levels_m)
+        else:
+            node = obj if key != "level" else draw(st.sampled_from(_generators(obj) or [{}]))
+            node[key] = draw(scalars)
+    elif kind == "generators":
+        gens = obj["y_generators"]
+        op = draw(st.sampled_from(["drop", "copy", "swap", "clear"]))
+        if op == "clear" or not gens:
+            gens.clear()
+            return
+        i = draw(st.integers(0, len(gens) - 1))
+        if op == "drop":
+            gens.pop(i)
+        elif op == "copy":
+            gens.insert(i, copy.deepcopy(gens[i]))
+        else:
+            gens[i], gens[-1] = gens[-1], gens[i]
+    else:
+        raise ValueError(f"unknown mutation kind {kind!r}")
+
+
+def _mutate_module(kind, draw, obj):
+    """One mutation of the given kind to a module JSON obj; returns the result."""
+    if kind == "top":
+        return draw(json_values)
+    if not isinstance(obj, dict):
+        return obj
+    if kind in ("type", "delete", "entry", "shape"):
+        fields = [(obj, k) for k in MODULE_FIELDS if k in obj]
+        arrays = [(obj, "sigma")] if isinstance(obj.get("sigma"), list) else []
+        _mutate_field(kind, draw, fields, arrays)
+    elif kind == "scalar":
+        obj[draw(st.sampled_from(["p", "n"]))] = draw(scalars)
+    else:
+        raise ValueError(f"unknown mutation kind {kind!r}")
+    return obj
+
+
 def _commands(datum_path, dec_path):
     return (
         ["decompose", "--in", str(datum_path)],
@@ -158,16 +227,29 @@ def _alarm(signum, frame):
 
 
 def _run(argv):
+    """(exit code, stderr) of one in-process CLI run.  A warning would be
+    one more stderr line outside pytest, so it fails the run here."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(60)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert not caught, (argv[0], [str(w.message) for w in caught])
     return rc, err.getvalue()
+
+
+def _check_exit(argv):
+    rc, err = _run(argv)
+    assert rc in (0, 1, 2, 3), (argv[0], rc)
+    assert "Traceback" not in err, (argv[0], err)
+    if rc in (2, 3):
+        assert err.count("\n") == 1, (argv[0], err)
 
 
 @pytest.fixture(scope="module")
@@ -199,10 +281,7 @@ def test_mutated_datum_json_exits_cleanly(bases, tmp_path, kind, data):
     datum_path = tmp_path / "datum.json"
     datum_path.write_text(json.dumps(obj))
     for argv in _commands(datum_path, dec_path):
-        rc, err = _run(argv)
-        assert rc in (0, 1, 2, 3), (argv[0], rc)
-        if rc in (2, 3):
-            assert err.count("\n") == 1 and "Traceback" not in err, (argv[0], err)
+        _check_exit(argv)
 
 
 def test_unmutated_bases_pass_every_command(bases, tmp_path):
@@ -211,3 +290,46 @@ def test_unmutated_bases_pass_every_command(bases, tmp_path):
         datum_path.write_text(json.dumps(datum_json))
         for argv in _commands(datum_path, dec_path):
             assert _run(argv) == (0, ""), argv[0]
+
+
+FUZZ_SETTINGS = hypothesis.settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.mark.parametrize("kind", DEC_KINDS)
+@FUZZ_SETTINGS
+@hypothesis.given(data=st.data())
+def test_mutated_decomposition_json_exits_cleanly(bases, tmp_path, kind, data):
+    datum_json, dec_path = data.draw(st.sampled_from(bases))
+    obj = json.loads(dec_path.read_text())
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate_decomposition(kind, data.draw, obj)
+    datum_path, mutated_path = tmp_path / "datum.json", tmp_path / "dec.json"
+    datum_path.write_text(json.dumps(datum_json))
+    mutated_path.write_text(json.dumps(obj))
+    _check_exit(["verify", "--in", str(datum_path), "--decomposition", str(mutated_path)])
+
+
+@pytest.mark.parametrize("kind", MODULE_KINDS)
+@FUZZ_SETTINGS
+@hypothesis.given(data=st.data())
+def test_mutated_module_json_exits_cleanly(bases, tmp_path, kind, data):
+    datum_json, _ = data.draw(st.sampled_from(bases))
+    obj = {k: copy.deepcopy(datum_json[k]) for k in MODULE_FIELDS}
+    for _ in range(data.draw(st.integers(1, 2))):
+        obj = _mutate_module(kind, data.draw, obj)
+    module_path = tmp_path / "module.json"
+    module_path.write_text(json.dumps(obj))
+    _check_exit(["jordan", "--in", str(module_path)])
+
+
+def test_unmutated_module_bases_pass_jordan(bases, tmp_path):
+    for datum_json, _ in bases:
+        module_path = tmp_path / "module.json"
+        module_path.write_text(json.dumps({k: datum_json[k] for k in MODULE_FIELDS}))
+        assert _run(["jordan", "--in", str(module_path)])[0] == 0

@@ -51,3 +51,30 @@ def test_pth_power_class_basis_surface():
     assert len(tower.class_basis(0)) == 2
     coords = tower.class_of(0, tower.from_int(3 * 4))
     assert coords[0] == 1  # the uniformizer slot picks up the valuation
+
+
+def test_lemma_checks_and_validate_read_the_same_helpers():
+    from galmod.datum import exactness_violations, fixed_submodule_violations, validate
+
+    clean = synthesize(SynthParams(p=3, n=2, m=1, e=(1, 1, 1), shuffle_seed=2))
+    # with the base norm erased, the fixed exceptional class lies in its
+    # kernel but not in the subfield image
+    broken = synthesize(SynthParams(p=3, n=2, m=NEG_INF, e=(1, 1, 1)))
+    broken.levels[0].norm[:] = 0
+    for d in (clean, broken):
+        d._cache.clear()
+        report = lemma_property_suite(d, free_module_runs=0)
+        found = [exactness_violations(d, i) for i in range(d.n)]
+        found.append(fixed_submodule_violations(d))
+        for i in range(d.n):
+            assert report[f"exact-sequence.L{i}"] == (not found[i])
+        assert report["fixed-submodule"] == (not found[-1])
+        # validate reports the same messages, in the same order
+        messages = [msg for part in found for msg in part]
+        violations = validate(d)
+        assert [msg for msg in violations if msg in messages] == messages
+    assert found == [
+        ["level 0: exactness fails at the H_0-fixed subspace"],
+        [],
+        ["J^G exceeds im eps_0 but no fixed class has a nontrivial norm"],
+    ]

@@ -13,6 +13,7 @@ from galmod import local_fields as lf
 from galmod.datum import datum_to_json, e_ranks, exceptional_search, i_via_theorem3, validate
 from galmod.decompose import all_clauses_pass, decompose, verify
 from galmod.local_fields import (
+    NotPthPower,
     PrecisionError,
     build_datum,
     kummer_generators,
@@ -94,6 +95,43 @@ def test_is_pth_power_crosschecks_class(unram3):
     assert not tw.is_pth_power(tw.mul(cube, tw.pi))
     root = tw.pth_root(cube)
     assert tw.eq(tw.powi(root, 3), cube)
+
+
+def _seeded_unit(tw, rng):
+    while True:
+        y = tw.from_poly([rng.randrange(tw.p**3) for _ in range(tw.deg)])
+        if not y.is_zero and y.val == 0:
+            return y
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(2, "cyclotomic", 2, 56), (3, "cyclotomic", 1, 60), (3, "unramified", 1, 40),
+     (5, "unramified", 1, 28)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_pth_root_agrees_with_class_of(spec):
+    tw = make_tower(*spec)
+    p, n = tw.p, tw.n
+    rng = random.Random(repr(spec))
+    basis = tw.class_basis(n)
+    for shift in range(4):
+        y = tw.mul(_seeded_unit(tw, rng), tw.powi(tw.pi, shift))
+        x = tw.powi(y, p)
+        root = tw.pth_root(x)
+        assert tw.eq(tw.powi(root, p), x)
+        assert tw.is_pth_power(x)
+        # a nonzero class on the unit part of the basis, then on pi alone
+        coords = [0] + [rng.randrange(p) for _ in basis[1:]]
+        coords[rng.randrange(1, len(basis))] = 1
+        for cls in (coords, [1] + [0] * (len(basis) - 1)):
+            z = x
+            for c, b in zip(cls, basis):
+                z = tw.mul(z, tw.powi(b, c))
+            assert np.array_equal(tw.class_of(n, z), np.array(cls) % p)
+            with pytest.raises(NotPthPower):
+                tw.pth_root(z)
+            assert not tw.is_pth_power(z)
 
 
 def test_unramified_datum(unram3):
