@@ -2,19 +2,23 @@
 
 JSON is the single interchange format; tables are derived views.  Exit
 codes: 0 ok, 1 verification failure, 2 invalid input, 3 internal
-inconsistency (a theorem-violation finding).
+inconsistency (a theorem-violation finding), 141 stdout closed by its
+reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
 from .datum import (
     InconsistencyError,
     e_ranks,
+    json_int,
+    json_int_array,
     level_from_str,
     level_str,
     load_datum,
@@ -38,6 +42,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -215,7 +220,9 @@ def _cmd_jordan(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        m = make_module(int(obj["p"]), int(obj["n"]), obj["sigma"])
+        m = make_module(
+            json_int(obj["p"], "p"), json_int(obj["n"], "n"), json_int_array(obj["sigma"], "sigma")
+        )
     except (ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
         print(f"cannot read module: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -248,10 +255,17 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except (AssertionError, InconsistencyError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except BrokenPipeError:
+        # the reader went away: stdout now leads to devnull, so the
+        # interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -490,6 +490,26 @@ def solve_norm_equation(d: GaloisDatum, gamma) -> Array | None:
 # JSON interchange
 
 
+def json_int(x, what: str) -> int:
+    """x when JSON gave an integer; a float (1.0 too) or a bool is refused."""
+    if type(x) is not int:  # bool is a subclass of int
+        raise TypeError(f"{what} is not an integer: {x!r}")
+    return x
+
+
+def json_int_array(a, what: str) -> Array:
+    """A nested list of JSON integers as an int64 array.  Every element's
+    type is checked, as np.asarray reads 1.5 as 1 and [1, True] as int64."""
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif type(v) is not int:
+            raise TypeError(f"{what} has an entry that is not an integer: {v!r}")
+    return np.asarray(a, dtype=np.int64)
+
+
 def _mat_list(a: Array) -> list:
     return [[int(x) for x in row] for row in a]
 
@@ -523,11 +543,11 @@ def datum_to_json(d: GaloisDatum) -> dict:
 
 def datum_from_json(obj: dict) -> GaloisDatum:
     try:
-        p = int(obj["p"])
-        n = int(obj["n"])
+        p = json_int(obj["p"], "p")
+        n = json_int(obj["n"], "n")
         xi = bool(obj["xi_in_F"])
         minus_one = obj.get("minus_one_is_norm")
-        sigma = np.asarray(obj["sigma"], dtype=np.int64)
+        sigma = json_int_array(obj["sigma"], "sigma")
         levels_json = obj["levels"]
         # checked before any module is built: p^n is computed for J
         if len(levels_json) != n + 1:
@@ -535,19 +555,20 @@ def datum_from_json(obj: dict) -> GaloisDatum:
         jmod = gmod.make_module(p, n, sigma)
         levels = []
         for i, lv in enumerate(levels_json):
-            space = gmod.make_module(p, i, np.asarray(lv["sigma_i"], dtype=np.int64))
-            if space.dim != int(lv["dim"]):
+            at = f"levels[{i}]."
+            space = gmod.make_module(p, i, json_int_array(lv["sigma_i"], at + "sigma_i"))
+            if space.dim != json_int(lv["dim"], at + "dim"):
                 raise ValueError(f"levels[{i}].dim disagrees with sigma_i")
-            eps = fl.asmod(np.asarray(lv["eps"], dtype=np.int64).reshape(jmod.dim, space.dim), p)
-            norm = fl.asmod(np.asarray(lv["norm"], dtype=np.int64).reshape(space.dim, jmod.dim), p)
+            eps = fl.asmod(json_int_array(lv["eps"], at + "eps").reshape(jmod.dim, space.dim), p)
+            norm = fl.asmod(json_int_array(lv["norm"], at + "norm").reshape(space.dim, jmod.dim), p)
             inter_json = lv.get("inter_norm", {})
             if not isinstance(inter_json, dict):
                 raise TypeError(f"levels[{i}].inter_norm is not an object")
             inter = {}
             for k, m in inter_json.items():
-                inter[int(k)] = fl.asmod(np.asarray(m, dtype=np.int64), p)
+                inter[int(k)] = fl.asmod(json_int_array(m, at + "inter_norm"), p)
             a_cls = lv.get("a_class")
-            a_arr = None if a_cls is None else fl.asmod(np.asarray(a_cls, dtype=np.int64), p)
+            a_arr = None if a_cls is None else fl.asmod(json_int_array(a_cls, at + "a_class"), p)
             levels.append(
                 LevelData(space=space, eps=eps, norm=norm, inter_norm=inter, a_class=a_arr)
             )

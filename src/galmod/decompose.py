@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fp_linalg as fl
 from . import gmod
 from .datum import (
@@ -24,6 +22,8 @@ from .datum import (
     InconsistencyError,
     e_ranks,
     exceptional_search,
+    json_int,
+    json_int_array,
     level_from_str,
     level_str,
     norm_filtration,
@@ -338,13 +338,14 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 def decomposition_from_json(obj: dict) -> Decomposition:
     try:
-        p = fl.check_prime(obj["p"])  # before any reduction mod p
-        n = int(obj["n"])
-        m = level_from_str(obj["m"])
+        p = fl.check_prime(json_int(obj["p"], "p"))  # before any reduction mod p
+        n = json_int(obj["n"], "n")
+        m = obj["m"]
+        m = level_from_str(m if m is None or isinstance(m, str) else json_int(m, "m"))
         xg = obj.get("x_generator")
-        x_arr = None if xg is None else np.asarray(xg, dtype=np.int64) % p
+        x_arr = None if xg is None else json_int_array(xg, "x_generator") % p
         ys = [
-            (int(item["level"]), np.asarray(item["coords"], dtype=np.int64) % p)
+            (json_int(item["level"], "level"), json_int_array(item["coords"], "coords") % p)
             for item in obj["y_generators"]
         ]
     except (KeyError, TypeError, OverflowError) as exc:

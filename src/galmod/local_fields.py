@@ -28,6 +28,12 @@ exact: results are the same residues the schoolbook product gives.
 Elements a tower keeps for itself refer back to it weakly, so a tower
 is freed as soon as its last user drops it.
 
+sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
+the Hensel-lifted Frobenius root.  Each sigma^k is stored as the packed
+columns g_k^j, j < d, where g_k = sigma^k(x) = sigma(g_(k-1)); it is
+applied to a unit by the fold of ``_poly_mulmod``, and the order p^n of
+sigma is checked on g_k alone.
+
 Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
 an additive Artin-Schreier step c -> c^p + eta*c at the critical level,
@@ -46,7 +52,7 @@ import operator
 import random
 import weakref
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -93,6 +99,12 @@ def _pack(c, m: int, width: int) -> int:
     )
 
 
+def _unpack(packed: int, m: int, width: int, slots: list[slice]) -> list[int]:
+    """The coefficients mod m held in the given byte slots of packed."""
+    raw = packed.to_bytes(width * len(slots), "little")
+    return list(map(m.__rmod__, map(int.from_bytes, map(raw.__getitem__, slots), repeat("little"))))
+
+
 def _reduction_table(f: list[int], m: int) -> tuple:
     key = (tuple(f), m)
     table = _REDUCTION_TABLES.pop(key, None)
@@ -133,11 +145,9 @@ def _poly_mulmod(a: list[int], b: list[int], f: list[int], m: int) -> list[int]:
     high = len(a) + len(b) - 1 - d
     if high > 0:
         low_bits = 8 * width * d
-        top = (prod >> low_bits).to_bytes(width * high, "little")
-        coeffs = map(m.__rmod__, map(int.from_bytes, map(top.__getitem__, slots[:high]), repeat("little")))
+        coeffs = _unpack(prod >> low_bits, m, width, slots[:high])
         prod = sum(map(operator.mul, coeffs, rows), prod & ((1 << low_bits) - 1))
-    out = prod.to_bytes(width * d, "little")
-    return list(map(m.__rmod__, map(int.from_bytes, map(out.__getitem__, slots[:d]), repeat("little"))))
+    return _unpack(prod, m, width, slots[:d])
 
 
 def _poly_powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
@@ -239,8 +249,6 @@ def _find_unramified_poly(p: int, d: int) -> list[int]:
     """Deterministic monic irreducible of degree d over F_p, lifted to Z."""
     if d == 1:
         return [1, 1]
-    from itertools import product
-
     for width in range(2, d + 1):
         for tail in product(range(p), repeat=width):
             if tail[0] == 0:
@@ -415,23 +423,17 @@ class LocalTower:
     # -- valuation machinery ---------------------------------------------------
 
     def _poly_val(self, c: list[int]) -> int:
+        """Valuation in pi-digits of a polynomial in the generator, 0 if
+        it is zero; the generator is pi (cyclotomic) or a unit."""
+        p, step = self.p, 1 if self.kind == CYCLOTOMIC else 0
         best = None
-        if self.kind == UNRAMIFIED:
-            for x in c:
-                if x:
-                    v = 0
-                    while x % self.p == 0:
-                        x //= self.p
-                        v += 1
-                    best = v if best is None else min(best, v)
-            return 0 if best is None else best
         for k, x in enumerate(c):
             if x:
                 v = 0
-                while x % self.p == 0:
-                    x //= self.p
+                while x % p == 0:
+                    x //= p
                     v += 1
-                vv = self.e * v + k
+                vv = self.e * v + step * k
                 best = vv if best is None else min(best, vv)
         return 0 if best is None else best
 
@@ -601,72 +603,45 @@ class LocalTower:
             gen_image[0] = (gen_image[0] - 1) % mod
         else:
             gen_image = self._frobenius_root()
+        width, _, slots = _reduction_table(self.fpoly, mod)
+        self._col_layout = (width, slots[:d])
 
-        cols = []
-        col = [1] + [0] * (d - 1)
-        for _ in range(d):
-            cols.append(list(col))
-            col = _poly_mulmod(col, gen_image, self.fpoly, mod)
-        mat1 = [[cols[j][i] for j in range(d)] for i in range(d)]
         order = p**self.n
-        mats: list = [None] * order
-        mats[0] = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        if order > 1:
-            mats[1] = mat1
-            for k in range(2, order):
-                mats[k] = self._mat_mul(mat1, mats[k - 1])
-        self._sigma_mats = mats
+        images = [[0, 1] + [0] * (d - 2), gen_image]  # images[k] = g_k = sigma^k(x)
+        self._sigma_cols = [None]  # sigma^0 is never applied
+        for k in range(1, order):
+            powers = [[1], images[k]]
+            while len(powers) < d:
+                powers.append(_poly_mulmod(powers[-1], images[k], self.fpoly, mod))
+            self._sigma_cols.append([_pack(c, mod, width) for c in powers])
+            images.append(self._compose(images[k], self._sigma_cols[1]))
 
         if self.kind == CYCLOTOMIC:
-            self._sigma_pi_units = []
-            for k in range(order):
-                img = self.from_poly(self._mat_apply(mats[k], [0, 1]))
-                if img.val != 1:
-                    raise ValueError("generator image is not a uniformizer")
-                self._sigma_pi_units.append(LFElement(self._ref, 0, img.unit))
-        # exact order: sigma^(p^n) = 1 and sigma^(p^(n-1)) != 1
-        last = self._mat_mul(mats[order - 1], mat1) if order > 1 else mat1
-        if self._mats_differ(last, mats[0]):
+            units = [self.from_poly(g) for g in images[:order]]
+            if any(u.val != 1 for u in units):
+                raise ValueError("generator image is not a uniformizer")
+            self._sigma_pi_units = [LFElement(self._ref, 0, u.unit) for u in units]
+        # exact order: sigma^(p^n) = 1 and sigma^(p^(n-1)) != 1, read on x
+        # as sigma^k(x^j) = g_k^j.  Hensel-lifted coefficients are exact
+        # only to about cp digits, so compare a few digits below the cap.
+        slack = p ** max(1, self.cp - 4)
+
+        def moves_x(g):
+            return any((a - b) % mod % slack for a, b in zip(g, images[0]))
+
+        if moves_x(images[order]):
             raise ValueError("generator does not have order p^n")
-        if order > 1 and not self._mats_differ(mats[order // p], mats[0]):
+        if not moves_x(images[order // p]):
             raise ValueError("non-cyclic configuration: generator order too small")
 
-    def _mats_differ(self, a, b) -> bool:
-        """Inequality of automorphism matrices up to the working precision.
+    def _compose(self, u, cols: list[int]) -> list[int]:
+        """u(g) mod (f, p^cp), for the packed columns cols of g's powers.
 
-        Hensel-lifted entries are exact only to about cp digits; compare
-        a few digits below the cap."""
-        slack = self.p ** max(1, self.cp - 4)
-        for ra, rb in zip(a, b):
-            for xa, xb in zip(ra, rb):
-                if (xa - xb) % self.modulus % slack != 0:
-                    return True
-        return False
-
-    def _mat_mul(self, a, b):
-        d, mod = self.deg, self.modulus
-        out = [[0] * d for _ in range(d)]
-        for i in range(d):
-            arow = a[i]
-            orow = out[i]
-            for k in range(d):
-                aik = arow[k]
-                if aik:
-                    brow = b[k]
-                    for j in range(d):
-                        orow[j] = (orow[j] + aik * brow[j]) % mod
-        return out
-
-    def _mat_apply(self, m, vec) -> list[int]:
-        d, mod = self.deg, self.modulus
-        out = [0] * d
-        for j, vj in enumerate(vec):
-            if vj:
-                for i in range(d):
-                    mij = m[i][j]
-                    if mij:
-                        out[i] = (out[i] + mij * vj) % mod
-        return out
+        The fold of _poly_mulmod: each slot of the sum collects at most d
+        products of residues, below d(m-1)^2 < 2d(m-1)^2 + m, so no slot
+        overflows into the next."""
+        width, slots = self._col_layout
+        return _unpack(sum(map(operator.mul, u, cols)), self.modulus, width, slots)
 
     def _frobenius_root(self) -> list[int]:
         """Hensel-lifted Frobenius image of the unramified generator."""
@@ -697,15 +672,13 @@ class LocalTower:
 
     def galois(self, x: LFElement, k: int = 1) -> LFElement:
         """sigma^k applied to an element."""
-        order = self.p**self.n
-        k %= order
+        k %= self.p**self.n
         if k == 0 or x.is_zero:
             return x
-        img = self._mat_apply(self._sigma_mats[k], list(x.unit))
+        img = LFElement(self, x.val, tuple(self._compose(x.unit, self._sigma_cols[k])), x.aprec)
         if self.kind == UNRAMIFIED:
-            return LFElement(self, x.val, tuple(img), x.aprec)
-        scale = self.powi(self._sigma_pi_units[k], x.val)
-        return self.mul(LFElement(self, x.val, tuple(img), x.aprec), scale)
+            return img
+        return self.mul(img, self.powi(self._sigma_pi_units[k], x.val))
 
     def norm(self, x: LFElement, i: int, j: int) -> LFElement:
         """Norm from level i down to level j <= i (conjugates under

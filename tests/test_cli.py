@@ -1,9 +1,14 @@
 """End-to-end CLI flows: synth -> decompose -> verify, local, jordan."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import galmod
 from galmod.cli import main
 
 
@@ -321,3 +326,107 @@ def test_inter_norm_that_is_not_an_object_is_refused(tmp_path, capsys):
         assert captured.out == ""
         err = one_line(captured.err)
         assert err.startswith("cannot read") and "inter_norm is not an object" in err
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_traceback(tmp_path, buffered):
+    datum, _ = readme_example(tmp_path)
+    src = str(Path(galmod.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "galmod.cli", "decompose", "--in", str(datum),
+             "--format", "table"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
+def _float_entry(matrix):
+    matrix[0][0] = float(matrix[0][0])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: obj.update(n=2.0),
+        lambda obj: obj.update(p=True),
+        lambda obj: _float_entry(obj["sigma"]),
+        lambda obj: obj["levels"][1].update(dim=float(obj["levels"][1]["dim"])),
+        lambda obj: obj["levels"][0]["a_class"].__setitem__(0, bool(obj["levels"][0]["a_class"][0])),
+        lambda obj: _float_entry(obj["levels"][1]["inter_norm"]["0"]),
+    ],
+    ids=["n-float", "p-bool", "sigma-entry-float", "dim-float", "a-class-bool",
+         "inter-norm-float"],
+)
+def test_datum_json_refuses_non_integers(tmp_path, capsys, mutate):
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(datum))
+    mutate(obj)
+    datum.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (
+        ["decompose", "--in", str(datum)],
+        ["verify", "--in", str(datum), "--decomposition", str(dec)],
+        ["invariants", "--in", str(datum)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = one_line(captured.err)
+        assert err.startswith("cannot read") and "not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: obj.update(p=3.0),
+        lambda obj: obj.update(n=True),
+        lambda obj: obj.update(m=1.0),
+        lambda obj: obj["y_generators"][0].update(level=float(obj["y_generators"][0]["level"])),
+        lambda obj: obj["y_generators"][0]["coords"].__setitem__(0, True),
+        lambda obj: obj["x_generator"].__setitem__(0, 0.5),
+    ],
+    ids=["p-float", "n-bool", "m-float", "level-float", "coords-bool", "x-generator-float"],
+)
+def test_decomposition_json_refuses_non_integers(tmp_path, capsys, mutate):
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(dec))
+    mutate(obj)
+    dec.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(datum), "--decomposition", str(dec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = one_line(captured.err)
+    assert err.startswith("cannot read input: ") and "not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        {"p": 3, "n": 1.5, "sigma": [[1]]},
+        {"p": 3, "n": True, "sigma": [[1.0]]},
+        {"p": 3.0, "n": 1, "sigma": [[1]]},
+        {"p": 3, "n": 1, "sigma": [[1.0]]},
+        {"p": 3, "n": 1, "sigma": [[True]]},
+        {"p": 2, "n": 1, "sigma": [[1, 0], [1, True]]},
+    ],
+    ids=["n-fraction", "n-bool", "p-float", "entry-float", "entry-bool", "mixed-row-bool"],
+)
+def test_jordan_refuses_non_integers(tmp_path, capsys, module):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    assert main(["jordan", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = one_line(captured.err)
+    assert err.startswith("cannot read module: ") and "not an integer" in err

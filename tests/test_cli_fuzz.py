@@ -4,7 +4,8 @@ verify, and mutated module JSON through jordan.
 
 Every run must end in a documented exit code (0 ok, 1 verification
 failure, 2 invalid input, 3 inconsistency) with no uncaught exception,
-and a refusal is one line on stderr.
+and a refusal is one line on stderr.  An integer replaced by a float or
+a bool must be refused (exit 2).
 """
 
 import contextlib
@@ -32,11 +33,12 @@ BASES = (
 INTER_NORM_KEYS = ("0", "1", "2", "-1", "5", "x", "", "100000000000000000000")
 TOP_FIELDS = ("p", "n", "xi_in_F", "minus_one_is_norm", "sigma", "levels")
 LEVEL_FIELDS = ("dim", "sigma_i", "eps", "norm", "inter_norm", "a_class")
-KINDS = ("type", "delete", "entry", "shape", "scalar", "levels", "inter_norm")
+KINDS = ("type", "delete", "entry", "shape", "nonint", "scalar", "levels", "inter_norm")
 DEC_FIELDS = ("p", "n", "m", "x_generator", "y_generators")
-DEC_KINDS = ("type", "delete", "entry", "shape", "scalar", "generators")
+DEC_KINDS = ("type", "delete", "entry", "shape", "nonint", "scalar", "generators")
 MODULE_FIELDS = ("p", "n", "sigma")
-MODULE_KINDS = ("type", "delete", "entry", "shape", "scalar", "top")
+MODULE_KINDS = ("type", "delete", "entry", "shape", "nonint", "scalar", "top")
+FIELD_KINDS = ("type", "delete", "entry", "shape", "nonint")
 
 # values a hand-edited file might hold in place of the right one
 json_values = st.one_of(
@@ -101,10 +103,31 @@ def _reshape(draw, array):
             row.append(0)
 
 
+def _integers(fields, arrays):
+    """(container, key) of every integer among the fields and the array entries."""
+    places = [(node, key) for node, key in fields if type(node[key]) is int]
+    stack = [node[key] for node, key in arrays]
+    while stack:
+        array = stack.pop()
+        for i, v in enumerate(array):
+            if isinstance(v, list):
+                stack.append(v)
+            elif type(v) is int:
+                places.append((array, i))
+    return places
+
+
 def _mutate_field(kind, draw, fields, arrays):
-    """A type, delete, entry or shape mutation, in place, of one of the
-    (container, key) places listed: fields for the first two, arrays for
-    the others."""
+    """A type, delete, entry, shape or nonint mutation, in place, of one
+    of the (container, key) places listed: fields for the first two,
+    arrays for the next two, and nonint replaces an integer in either by
+    a float or a bool."""
+    if kind == "nonint":
+        node, key = _pick(draw, _integers(fields, arrays))
+        if node is not None:
+            v = node[key]
+            node[key] = draw(st.sampled_from([float(v), v + 0.5, True, False]))
+        return
     if kind in ("type", "delete"):
         node, key = _pick(draw, fields)
         if node is not None and kind == "type":
@@ -127,7 +150,7 @@ def _mutate_field(kind, draw, fields, arrays):
 
 def _mutate(kind, draw, obj):
     """Apply one mutation of the given kind to a datum JSON obj in place."""
-    if kind in ("type", "delete", "entry", "shape"):
+    if kind in FIELD_KINDS:
         _mutate_field(kind, draw, _fields(obj), _arrays(obj))
     elif kind == "scalar":
         key = draw(st.sampled_from(["p", "n", "dim"]))
@@ -162,7 +185,7 @@ def _generators(obj):
 
 def _mutate_decomposition(kind, draw, obj):
     """Apply one mutation of the given kind to a decomposition JSON obj in place."""
-    if kind in ("type", "delete", "entry", "shape"):
+    if kind in FIELD_KINDS:
         fields = [(obj, k) for k in DEC_FIELDS if k in obj]
         fields += [(g, k) for g in _generators(obj) for k in ("level", "coords") if k in g]
         vectors = [(obj, "x_generator")] if isinstance(obj.get("x_generator"), list) else []
@@ -198,7 +221,7 @@ def _mutate_module(kind, draw, obj):
         return draw(json_values)
     if not isinstance(obj, dict):
         return obj
-    if kind in ("type", "delete", "entry", "shape"):
+    if kind in FIELD_KINDS:
         fields = [(obj, k) for k in MODULE_FIELDS if k in obj]
         arrays = [(obj, "sigma")] if isinstance(obj.get("sigma"), list) else []
         _mutate_field(kind, draw, fields, arrays)
@@ -244,9 +267,9 @@ def _run(argv):
     return rc, err.getvalue()
 
 
-def _check_exit(argv):
+def _check_exit(argv, kind):
     rc, err = _run(argv)
-    assert rc in (0, 1, 2, 3), (argv[0], rc)
+    assert rc in ((2,) if kind == "nonint" else (0, 1, 2, 3)), (argv[0], rc)
     assert "Traceback" not in err, (argv[0], err)
     if rc in (2, 3):
         assert err.count("\n") == 1, (argv[0], err)
@@ -266,7 +289,7 @@ def bases(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", KINDS)
 @hypothesis.settings(
-    max_examples=14,  # 98 examples over the seven kinds
+    max_examples=14,  # 112 examples over the eight kinds
     deadline=None,
     derandomize=True,
     database=None,
@@ -281,7 +304,7 @@ def test_mutated_datum_json_exits_cleanly(bases, tmp_path, kind, data):
     datum_path = tmp_path / "datum.json"
     datum_path.write_text(json.dumps(obj))
     for argv in _commands(datum_path, dec_path):
-        _check_exit(argv)
+        _check_exit(argv, kind)
 
 
 def test_unmutated_bases_pass_every_command(bases, tmp_path):
@@ -312,7 +335,7 @@ def test_mutated_decomposition_json_exits_cleanly(bases, tmp_path, kind, data):
     datum_path, mutated_path = tmp_path / "datum.json", tmp_path / "dec.json"
     datum_path.write_text(json.dumps(datum_json))
     mutated_path.write_text(json.dumps(obj))
-    _check_exit(["verify", "--in", str(datum_path), "--decomposition", str(mutated_path)])
+    _check_exit(["verify", "--in", str(datum_path), "--decomposition", str(mutated_path)], kind)
 
 
 @pytest.mark.parametrize("kind", MODULE_KINDS)
@@ -325,7 +348,7 @@ def test_mutated_module_json_exits_cleanly(bases, tmp_path, kind, data):
         obj = _mutate_module(kind, data.draw, obj)
     module_path = tmp_path / "module.json"
     module_path.write_text(json.dumps(obj))
-    _check_exit(["jordan", "--in", str(module_path)])
+    _check_exit(["jordan", "--in", str(module_path)], kind)
 
 
 def test_unmutated_module_bases_pass_jordan(bases, tmp_path):

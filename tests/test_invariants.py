@@ -1,6 +1,6 @@
 """The lemma property suite, including its mutation sensitivity."""
 
-from galmod.datum import NEG_INF
+from galmod.datum import NEG_INF, exactness_violations, fixed_submodule_violations
 from galmod.invariants import lemma_property_suite, submodule_subfield_identity
 from galmod.synth import SynthParams, synthesize
 
@@ -31,11 +31,21 @@ def test_suite_clean_on_minus_inf_datum():
 
 def test_suite_detects_broken_norm():
     d = synthesize(SynthParams(p=3, n=1, m=0, e=(1, 1)))
-    # erase the a-line functional: exactness at J^G must now fail
+    # erase the a-line functional: the norms stop being coherent
     d.levels[0].norm[-1, :] = 0
     d._cache.clear()
     report = lemma_property_suite(d, free_module_runs=0)
     assert failing(report) != []
+    # erase the whole base norm of an m = -inf datum: the fixed class
+    # outside im eps_0 loses its nontrivial norm, so exactness at J^G and
+    # the fixed-submodule shape both fail
+    d = synthesize(SynthParams(p=3, n=1, m=NEG_INF, e=(1, 1)))
+    d.levels[0].norm[:] = 0
+    d._cache.clear()
+    assert exactness_violations(d, 0) != []
+    assert fixed_submodule_violations(d) != []
+    failed = failing(lemma_property_suite(d, free_module_runs=0))
+    assert "exact-sequence.L0" in failed and "fixed-submodule" in failed
 
 
 def test_free_module_identity_small():
@@ -54,7 +64,7 @@ def test_pth_power_class_basis_surface():
 
 
 def test_lemma_checks_and_validate_read_the_same_helpers():
-    from galmod.datum import exactness_violations, fixed_submodule_violations, validate
+    from galmod.datum import validate
 
     clean = synthesize(SynthParams(p=3, n=2, m=1, e=(1, 1, 1), shuffle_seed=2))
     # with the base norm erased, the fixed exceptional class lies in its

@@ -1,6 +1,7 @@
 """p-adic towers: arithmetic, Galois action, class spaces, datum extraction."""
 
 import gc
+import hashlib
 import json
 import math
 import random
@@ -417,3 +418,98 @@ def test_residue_inverse_matches_power_form(spec):
         tw._residue_inverse([0] * d)
     with pytest.raises(ZeroDivisionError):
         tw._residue_inverse([p] * d)
+
+
+# -- the Galois action ---------------------------------------------------------
+
+
+def sigma_matrix_powers(tw):
+    """The reference action: the d x d matrix of sigma on the power basis
+    (column j is g^j for the generator image g) and its powers by
+    schoolbook matrix products mod p^cp; index 0 is unused."""
+    d, mod = tw.deg, tw.modulus
+    if tw.kind == "cyclotomic":
+        g = schoolbook_powmod([1, 1], 5 if tw.p == 2 else 1 + tw.p, tw.fpoly, mod)
+        g[0] = (g[0] - 1) % mod
+    else:
+        g = tw._frobenius_root()
+    cols, col = [], [1] + [0] * (d - 1)
+    for _ in range(d):
+        cols.append(col)
+        col = schoolbook_mulmod(col, g, tw.fpoly, mod)
+    first = [[cols[j][i] for j in range(d)] for i in range(d)]
+    mats = [None, first]
+    for _ in range(2, tw.p**tw.n):
+        prev = mats[-1]
+        mats.append([
+            [sum(first[i][t] * prev[t][j] for t in range(d)) % mod for j in range(d)]
+            for i in range(d)
+        ])
+    return mats
+
+
+def matrix_galois(tw, mats, x, k):
+    """sigma^k(x) through the matrix of sigma^k: the unit's coordinates
+    times the matrix, and for cyclotomic towers the unit of sigma^k(pi)/pi
+    raised to the valuation."""
+    d, mod = tw.deg, tw.modulus
+    m = mats[k]
+    img = tuple(sum(m[i][j] * x.unit[j] for j in range(d)) % mod for i in range(d))
+    out = lf.LFElement(tw, x.val, img, x.aprec)
+    if tw.kind == "unramified":
+        return out
+    sigma_pi = tw.from_poly([m[i][1] for i in range(d)])
+    assert sigma_pi.val == 1
+    return tw.mul(out, tw.powi(lf.LFElement(tw, 0, sigma_pi.unit), x.val))
+
+
+GALOIS_TOWERS = ((3, "cyclotomic", 2, 100), (2, "cyclotomic", 3, 88), (5, "unramified", 1, 28))
+
+
+@pytest.mark.parametrize("spec", GALOIS_TOWERS, ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_galois_matches_matrix_oracle(spec):
+    tw = make_tower(*spec)
+    mats = sigma_matrix_powers(tw)
+    rng = random.Random(repr(spec))
+    elements = [tw.mul(_seeded_unit(tw, rng), tw.powi(tw.pi, s)) for s in (-1, 1, 2, 5)]
+    for k in range(1, tw.p**tw.n):
+        for x in elements:
+            got, want = tw.galois(x, k), matrix_galois(tw, mats, x, k)
+            assert (got.val, got.unit, got.aprec) == (want.val, want.unit, want.aprec)
+    # sigma^0 and sigma^(p^n) are the identity
+    for x in elements:
+        assert tw.galois(x, 0) is x and tw.galois(x, tw.p**tw.n) is x
+
+
+@pytest.mark.parametrize("spec", GALOIS_TOWERS[::2], ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_galois_powers_compose(spec):
+    tw = make_tower(*spec)
+    order = tw.p**tw.n
+    rng = random.Random(repr(spec))
+    elements = [tw.mul(_seeded_unit(tw, rng), tw.powi(tw.pi, s)) for s in (0, 3)]
+    for x in elements:
+        for a in range(order):
+            for b in range(order):
+                assert tw.eq(tw.galois(tw.galois(x, b), a), tw.galois(x, a + b))
+
+
+def test_order_check_refuses_the_identity(monkeypatch):
+    monkeypatch.setattr(lf.LocalTower, "_frobenius_root", lambda self: [0, 1] + [0] * (self.deg - 2))
+    with pytest.raises(ValueError, match="order"):
+        make_tower(3, "unramified", 1, 40)
+
+
+# sha256 of the datum JSON `galmod local` writes for these towers
+# (datum_to_json, indent 1, one trailing newline)
+LOCAL_DIGESTS = {
+    (3, "cyclotomic", 1, 60): "b4ad99f21d277b7b9bd71e3d31ad65a8ae21511ccb40f1d6a96eea034e4c632e",
+    (2, "cyclotomic", 2, 56): "b347b423824a931ffa686cca26d92c07d22be9555de885a3fe9cfba6671d8b4b",
+    (3, "unramified", 1, 40): "66cf04bbc031ecf85269e331d9498f41c0d05bfb3853fbe0c20c11cff4af096d",
+    (5, "unramified", 1, 28): "abf41393c8b6f2de58d2adc098b7e6f72281ddcce0df3e8dab64fd099238ee6e",
+}
+
+
+@pytest.mark.parametrize("spec", list(LOCAL_DIGESTS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_local_datum_json_is_pinned(spec):
+    text = json.dumps(datum_to_json(build_datum(make_tower(*spec))), indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_DIGESTS[spec]
