@@ -149,11 +149,11 @@ def validate(d: GaloisDatum) -> list[str]:
 
         # equivariance
         if not np.array_equal(
-            (lv.eps @ lv.space.sigma) % p, (d.J.sigma @ lv.eps) % p
+            fl.matmul(lv.eps, lv.space.sigma, p), fl.matmul(d.J.sigma, lv.eps, p)
         ):
             v.append(f"level {i}: eps is not equivariant")
         if not np.array_equal(
-            (lv.norm @ d.J.sigma) % p, (lv.space.sigma @ lv.norm) % p
+            fl.matmul(lv.norm, d.J.sigma, p), fl.matmul(lv.space.sigma, lv.norm, p)
         ):
             v.append(f"level {i}: norm is not equivariant")
 
@@ -162,7 +162,7 @@ def validate(d: GaloisDatum) -> list[str]:
             v.append(f"level {i}: image(eps) not inside the H_{i}-fixed subspace")
 
         # eps o norm = (sigma-1)^(p^n - p^i) on J
-        if not np.array_equal((lv.eps @ lv.norm) % p, d.op_pow(p**n - p**i)):
+        if not np.array_equal(fl.matmul(lv.eps, lv.norm, p), d.op_pow(p**n - p**i)):
             v.append(f"level {i}: eps o norm != (sigma-1)^(p^{n}-p^{i})")
 
         # inter-norm coherence: norm_j = inter_norm[i->j] o norm_i
@@ -174,7 +174,7 @@ def validate(d: GaloisDatum) -> list[str]:
                 v.append(f"level {i}: inter_norm to {j} has shape {mtx.shape}")
             else:
                 inter[j] = mtx
-                if not np.array_equal((mtx @ lv.norm) % p, d.levels[j].norm % p):
+                if not np.array_equal(fl.matmul(mtx, lv.norm, p), d.levels[j].norm % p):
                     v.append(f"level {i}: inter_norm to {j} breaks norm coherence")
 
         # kernel of eps
@@ -199,7 +199,7 @@ def validate(d: GaloisDatum) -> list[str]:
                 aj = d.levels[j].a_class
                 if aj is None:
                     continue
-                if not np.array_equal((mtx @ lv.a_class) % p, aj % p):
+                if not np.array_equal(fl.matmul(mtx, lv.a_class, p), aj % p):
                     v.append(f"level {i}: inter_norm does not send a_{i} to a_{j}")
 
         if i < n:
@@ -309,7 +309,7 @@ def _norm0_nonvanishing(d: GaloisDatum, s: Subspace) -> Array | None:
     """First canonical basis vector of s with nonzero norm class, if any."""
     norm0 = d.levels[0].norm
     for row in s.basis:
-        if np.any((norm0 @ row) % d.p):
+        if np.any(fl.matmul(norm0, row, d.p)):
             return row.copy()
     return None
 
@@ -345,7 +345,7 @@ def _exceptional_search(d: GaloisDatum) -> ExceptionalReport:
         raise InconsistencyError(
             f"exceptional class has length {got}, expected p^m+1 = {expected}"
         )
-    norm_class = (d.levels[0].norm @ delta) % d.p
+    norm_class = fl.matmul(d.levels[0].norm, delta, d.p)
     delta.setflags(write=False)
     norm_class.setflags(write=False)
     return ExceptionalReport(m=m, delta=delta, norm_class=norm_class)
@@ -371,8 +371,8 @@ def _minimize_length(d: GaloisDatum, m, delta: Array) -> Array:
             ech.add(row)
         if ech.contains(delta_k):
             break
-        delta_k = (nilp @ delta_k) % d.p
-        w_rows = (w_rows @ nilp.T) % d.p
+        delta_k = fl.matmul(nilp, delta_k, d.p)
+        w_rows = fl.matmul(w_rows, nilp.T, d.p)
         k += 1
         if k > d.J.dim:
             raise AssertionError("length minimization failed to terminate")
@@ -383,7 +383,7 @@ def _minimize_length(d: GaloisDatum, m, delta: Array) -> Array:
     coeffs = fl.solve(stacked.T, delta, d.p)
     if coeffs is None:
         raise AssertionError("length minimization witness solve failed")
-    w_part = (w_space.basis.T @ coeffs[t_k.dim :]) % d.p
+    w_part = fl.matmul(w_space.basis.T, coeffs[t_k.dim :], d.p)
     return (delta - w_part) % d.p
 
 
@@ -406,7 +406,7 @@ def theorem3_level_raw(d: GaloisDatum):
         fixed = d.fixed(i1)
         if fixed.dim == 0:
             continue
-        if np.any((d.levels[i1].norm @ fixed.basis.T) % d.p):
+        if np.any(fl.matmul(d.levels[i1].norm, fixed.basis.T, d.p)):
             return s
     raise InconsistencyError("no level qualifies; J must be zero")
 
@@ -453,7 +453,7 @@ def restrict(d: GaloisDatum, j: int) -> GaloisDatum:
     if p == 2 and n2 == 1:
         fixed = d.fixed(j)
         hit = fixed.dim > 0 and bool(
-            np.any((d.levels[j].norm @ fixed.basis.T) % p)
+            np.any(fl.matmul(d.levels[j].norm, fixed.basis.T, p))
         )
         minus_one = hit
     return GaloisDatum(
@@ -482,7 +482,7 @@ def solve_norm_equation(d: GaloisDatum, gamma) -> Array | None:
     ell = gmod.length(d.J, gamma)
     if ell == 0:
         return None
-    target = (d.op_pow(ell - 1) @ gamma) % d.p
+    target = fl.matmul(d.op_pow(ell - 1), gamma, d.p)
     return fl.solve(d.op_pow(d.p**d.n - 1), target, d.p)
 
 
@@ -494,6 +494,14 @@ def json_int(x, what: str) -> int:
     """x when JSON gave an integer; a float (1.0 too) or a bool is refused."""
     if type(x) is not int:  # bool is a subclass of int
         raise TypeError(f"{what} is not an integer: {x!r}")
+    return x
+
+
+def json_bool(x, what: str) -> bool:
+    """x when JSON gave true or false; 0, 1 and the string "false" are
+    refused."""
+    if type(x) is not bool:
+        raise TypeError(f"{what} is not true or false: {x!r}")
     return x
 
 
@@ -545,8 +553,10 @@ def datum_from_json(obj: dict) -> GaloisDatum:
     try:
         p = json_int(obj["p"], "p")
         n = json_int(obj["n"], "n")
-        xi = bool(obj["xi_in_F"])
+        xi = json_bool(obj["xi_in_F"], "xi_in_F")
         minus_one = obj.get("minus_one_is_norm")
+        if minus_one is not None:
+            minus_one = json_bool(minus_one, "minus_one_is_norm")
         sigma = json_int_array(obj["sigma"], "sigma")
         levels_json = obj["levels"]
         # checked before any module is built: p^n is computed for J
@@ -574,8 +584,6 @@ def datum_from_json(obj: dict) -> GaloisDatum:
             )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed datum JSON: {exc}") from exc
-    if minus_one is not None:
-        minus_one = bool(minus_one)
     return GaloisDatum(
         p=p, n=n, J=jmod, levels=levels, xi_in_F=xi, minus_one_is_norm=minus_one
     )

@@ -269,7 +269,7 @@ def verify(dec: Decomposition, d: GaloisDatum) -> dict:
         x_top = fl.sub_intersect(x_space, d.fixed(0))
     for i in range(n + 1):
         rows = [
-            (d.op_pow(p**lvl - 1) @ w) % p for lvl, w in dec.y_generators if lvl >= i
+            fl.matmul(d.op_pow(p**lvl - 1), w, p) for lvl, w in dec.y_generators if lvl >= i
         ]
         if x_top is not None and i <= int(dec.m):
             rows.extend(x_top.basis)

@@ -18,11 +18,16 @@ import numpy as np
 
 Array = np.ndarray
 
-# The largest supported p.  Every matrix product is reduced mod p after
-# each factor, so one entry of a product is a sum of dim terms below
-# (p-1)^2 < 2^32: exact in int64 for every dim below 2^31, far beyond
-# any matrix that fits in memory.  The table of inverses_mod holds at
-# most P_MAX entries (512 KiB).
+# The largest supported p.  Two exactness bounds rest on it, and both
+# are checked where they apply:
+# - matmul multiplies in float64, which holds every integer below 2^53,
+#   so a product of reduced operands is exact while
+#   inner * (p-1)^2 < 2^53: for every inner dim below 2^21 under P_MAX.
+#   Past that bound matmul multiplies in int64 (exact below 2^63).
+# - rref reduces a row only when it becomes the pivot row, so an entry
+#   stays below p + rows * (p-1)^2 in magnitude; rows below 2^31 keep
+#   that under 2^63, and past the bound rref reduces after every pivot.
+# The table of inverses_mod holds at most P_MAX entries (512 KiB).
 P_MAX = 1 << 16
 
 
@@ -79,6 +84,59 @@ def zeros(rows: int, cols: int) -> Array:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
+# float64 holds every integer below this exactly (FFLAS-FFPACK: Dumas,
+# Giorgi & Pernet, ACM TOMS 2008)
+_F64_EXACT = 1 << 53
+_INT64_EXACT = 1 << 63
+# Below this many multiply-adds a product is faster in int64: the float64
+# path pays about 3 us for its conversions and reduction whatever the size.
+# Measured at p=3 on a 2-core x86-64 host with OpenBLAS: a square product
+# costs 3.5 us (int64) vs 3.8 us (float64) at dim 16, 16 us vs 6 us at
+# dim 32 and 6.9 ms vs 0.63 ms at dim 243.  A matrix-vector product is no
+# faster in float64 at any size: reading the matrix dominates, and the
+# float64 path reads it twice.
+_BLAS_MIN_MACS = 8192
+
+
+def _float64_exact(inner: int, p: int) -> bool:
+    """True iff a float64 product of operands reduced mod p, with inner
+    dimension ``inner``, is exact: inner * (p-1)^2 < 2^53."""
+    return inner * (p - 1) ** 2 < _F64_EXACT
+
+
+def matmul(a: Array, b: Array, p: int) -> Array:
+    """a @ b mod p, as int64, for int64 operands with entries in [0, p).
+
+    1-D operands are vectors, as for numpy's ``@``.  Large enough products
+    of matrices are computed in float64 (BLAS), which is exact while
+    ``_float64_exact`` holds; the rest, and every product past that bound,
+    in int64.
+    """
+    inner = a.shape[-1]
+    rows = a.shape[0] if a.ndim == 2 else 1
+    cols = b.shape[-1] if b.ndim == 2 else 1
+    if (
+        min(rows, cols) == 1
+        or rows * inner * cols < _BLAS_MIN_MACS
+        or not _float64_exact(inner, p)
+    ):
+        return (a @ b) % p
+    # each float64 temporary is dropped once used: at dim 243 one is 0.5 MB
+    af = a.astype(np.float64)
+    c = af @ (af if b is a else b.astype(np.float64))
+    del af
+    # 0 <= c < 2^53: the correctly rounded c/p never reaches the next
+    # integer above its floor (that would take a rounding error of 1/p,
+    # and the spacing of doubles near c/p is below 2/p), nor drops below
+    # the floor, which is itself a double; so the remainder is exact.
+    q = c / p
+    np.floor(q, out=q)
+    q *= p
+    c -= q
+    del q
+    return c.astype(np.int64)
+
+
 def mat_pow(a: Array, k: int, p: int) -> Array:
     """a^k mod p by repeated squaring; k >= 0."""
     if k < 0:
@@ -88,8 +146,8 @@ def mat_pow(a: Array, k: int, p: int) -> Array:
     base = a % p
     while k:
         if k & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
+            result = matmul(result, base, p)
+        base = matmul(base, base, p)
         k >>= 1
     return result
 
@@ -101,29 +159,44 @@ def rref(a: Array, p: int) -> tuple[Array, list[int]]:
     rows pushed to the bottom; entries above and below pivots are cleared
     and pivots are 1.
     """
-    r = asmod(a, p).copy()
+    r = asmod(a, p)  # a new array
     m, n = r.shape
     inv = inverses_mod(p)
+    # Delayed reduction: per pivot only the pivot column and the pivot
+    # row are reduced, and the whole matrix once at the end.  Each pivot
+    # subtracts at most (p-1)^2 from an entry, and a row is reduced when
+    # it becomes the pivot row, so entries stay below p + m*(p-1)^2.
+    # Where that could pass 2^63, the updated rows are reduced per pivot.
+    eager = m * (p - 1) ** 2 + p >= _INT64_EXACT
     pivots: list[int] = []
     row = 0
     for col in range(n):
         if row == m:
             break
-        nz = r[row:, col].nonzero()[0]
+        column = r[:, col]
+        column %= p
+        nz = column[row:].nonzero()[0]
         if nz.size == 0:
             continue
         i = row + int(nz[0])
         if i != row:
             r[[row, i]] = r[[i, row]]
-        r[row] = (r[row] * inv[r[row, col]]) % p
-        factors = r[:, col].copy()
+        # columns left of col are already zero in the pivot row and in
+        # every row it clears
+        pivot_row = r[row, col:]
+        pivot_row %= p
+        pivot_row *= inv[column[row]]
+        pivot_row %= p
+        factors = column.copy()
         factors[row] = 0
-        if factors.any():
-            # columns left of col are already clear in every affected row
-            r[:, col:] -= np.outer(factors, r[row, col:])
-            r[:, col:] %= p
+        hit = factors.nonzero()[0]
+        if hit.size:
+            r[hit, col:] -= np.outer(factors[hit], pivot_row)
+            if eager:
+                r[hit, col:] %= p
         pivots.append(col)
         row += 1
+    r %= p
     return r, pivots
 
 
@@ -154,14 +227,35 @@ def solve(a: Array, b: Array, p: int):
     return x
 
 
+def _uniform_draws(p: int, count: int, rng: random.Random) -> Array:
+    """count values drawn as ``rng.randrange(p)`` would draw them one by
+    one, leaving rng in the same state.
+
+    For p < 2^32 each randrange attempt takes one 32-bit word of the
+    generator and keeps its top p.bit_length() bits, retrying when that
+    is p or more; getrandbits(32*k) returns the next k words, the first
+    one lowest.  So draw exactly as many words as values are still
+    missing, and repeat until none is.
+    """
+    shift = 32 - p.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        k = count - done
+        words = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+        vals = words >> shift
+        vals = vals[vals < p]
+        out[done : done + vals.size] = vals
+        done += vals.size
+    return out
+
+
 def random_invertible(p: int, dim: int, rng: random.Random) -> Array:
-    """A random invertible dim x dim matrix: uniform draws from rng,
-    repeated until one has full rank."""
+    """A random invertible dim x dim matrix: uniform draws from rng, the
+    same as ``rng.randrange(p)`` entry by entry, repeated until one has
+    full rank."""
     while True:
-        mat = np.array(
-            [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)],
-            dtype=np.int64,
-        )
+        mat = _uniform_draws(p, dim * dim, rng).reshape(dim, dim)
         if rank(mat, p) == dim:
             return mat
 
@@ -260,7 +354,7 @@ class Subspace:
         """True iff the vector v lies in the space; for a 2-D v, iff every
         row of v does."""
         v = asmod(v, self.p)
-        return bool(np.array_equal(v, (v[..., self.pivots] @ self.basis) % self.p))
+        return bool(np.array_equal(v, matmul(v[..., self.pivots], self.basis, self.p)))
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient or other.p != self.p:
@@ -312,7 +406,7 @@ def sub_intersect(u: Subspace, v: Subspace) -> Subspace:
     # x = Bu^T a = Bv^T b  <=>  [Bu^T | -Bv^T] (a; b) = 0
     m = np.concatenate([u.basis.T, (-v.basis.T) % u.p], axis=1)
     ker = kernel_matrix(m, u.p)
-    vecs = (ker[:, :ku] @ u.basis) % u.p
+    vecs = matmul(ker[:, :ku], u.basis, u.p)
     return span(u.p, u.ambient, vecs)
 
 
@@ -366,7 +460,7 @@ def apply_to_space(a: Array, s: Subspace) -> Subspace:
         raise ValueError("dimension mismatch")
     if s.dim == 0:
         return zero_space(s.p, a.shape[0])
-    return span(s.p, a.shape[0], (s.basis @ a.T) % s.p)
+    return span(s.p, a.shape[0], matmul(s.basis, asmod(a, s.p).T, s.p))
 
 
 def preimage(a: Array, w: Subspace) -> Subspace:
@@ -389,8 +483,8 @@ def solve_in_space(a: Array, s: Subspace, b: Array):
         raise ValueError("dimension mismatch")
     if s.dim == 0:
         return None if np.any(asmod(b, s.p)) else np.zeros(s.ambient, dtype=np.int64)
-    restricted = (a @ s.basis.T) % s.p
+    restricted = matmul(asmod(a, s.p), s.basis.T, s.p)
     c = solve(restricted, b, s.p)
     if c is None:
         return None
-    return (s.basis.T @ c) % s.p
+    return matmul(s.basis.T, c, s.p)

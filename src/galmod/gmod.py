@@ -98,7 +98,7 @@ def length(m: GModule, u) -> int:
     nilp = op(m)
     k = 0
     while np.any(v):
-        v = (nilp @ v) % m.p
+        v = fl.matmul(nilp, v, m.p)
         k += 1
         if k > m.dim:
             raise AssertionError("operator is not nilpotent")
@@ -112,7 +112,7 @@ def cyclic_submodule(m: GModule, u) -> Subspace:
     rows = []
     while np.any(v):
         rows.append(v)
-        v = (nilp @ v) % m.p
+        v = fl.matmul(nilp, v, m.p)
     return fl.span(m.p, m.dim, np.array(rows).reshape(-1, m.dim))
 
 
@@ -123,7 +123,7 @@ def socle_series(m: GModule) -> list[Subspace]:
     power = fl.identity(m.dim)
     prev_dim = -1
     while True:
-        power = (power @ nilp) % m.p
+        power = fl.matmul(power, nilp, m.p)
         t = fl.kernel(power, m.p)
         if t.dim == prev_dim:
             raise AssertionError("socle series stalled below the full space")
@@ -179,7 +179,7 @@ def _jordan_type(m: GModule) -> list[int]:
     # image-chain ranks: row space of B_k = rref((sigma-1)^k) shrinks fast
     image_rows = fl.identity(m.dim)
     while dims[-1] < m.dim:
-        mapped = (image_rows @ nilp.T) % m.p
+        mapped = fl.matmul(image_rows, nilp.T, m.p)
         r, pivots = fl.rref(mapped, m.p)
         image_rows = r[: len(pivots)]
         dims.append(m.dim - len(pivots))
@@ -196,7 +196,7 @@ def _jordan_type(m: GModule) -> list[int]:
 
 
 def is_invariant(m: GModule, s: Subspace) -> bool:
-    return s.contains((s.basis @ m.sigma.T) % m.p)
+    return s.contains(fl.matmul(s.basis, m.sigma.T, m.p))
 
 
 def independent_sum_check(m: GModule, parts: list[Subspace]) -> bool:
@@ -237,7 +237,7 @@ def restricted_matrix(m: GModule, u: Subspace) -> Array:
     """Matrix of sigma on U in U's canonical basis; U must be invariant."""
     if u.dim == 0:
         return fl.zeros(0, 0)
-    images = (u.basis @ m.sigma.T) % m.p
+    images = fl.matmul(u.basis, m.sigma.T, m.p)
     if not u.contains(images):
         raise ValueError("subspace is not sigma-invariant")
     # coordinates in the RREF basis are the entries at its pivots

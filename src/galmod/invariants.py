@@ -88,11 +88,11 @@ def exceptional_checks(d: GaloisDatum, report: dict, seed: int = 0):
         omega = (c0 * rep.delta) % p
         acc = rep.delta
         for k in range(1, ell):
-            acc = (d.op_pow(1) @ acc) % p
+            acc = fl.matmul(d.op_pow(1), acc, p)
             omega = (omega + rng.randrange(p) * acc) % p
-        if not np.any((norm0 @ omega) % p):
+        if not np.any(fl.matmul(norm0, omega, p)):
             ok = False
-        shifted = (d.op_pow(1) @ omega) % p
+        shifted = fl.matmul(d.op_pow(1), omega, p)
         if rep.m == NEG_INF:
             if np.any(shifted):
                 ok = False
@@ -108,7 +108,7 @@ def _l_h(d: GaloisDatum, v, level: int) -> int:
     k = 0
     w = v % p
     while np.any(w):
-        w = (op_h @ w) % p
+        w = fl.matmul(op_h, w, p)
         k += 1
     return k
 
@@ -131,7 +131,7 @@ def solve_norm_equation_checks(d: GaloisDatum, report: dict, seed: int = 0):
     ok = True
 
     def norm_class_zero(v) -> bool:
-        return not np.any((norm0 @ v) % p)
+        return not np.any(fl.matmul(norm0, v, p))
 
     m_val = None
     if d.xi_in_F:
@@ -145,7 +145,7 @@ def solve_norm_equation_checks(d: GaloisDatum, report: dict, seed: int = 0):
             return True
         if norm_class_zero(v):
             return True
-        shifted = (d.op_pow(1) @ v) % p
+        shifted = fl.matmul(d.op_pow(1), v, p)
         if m_val == NEG_INF:
             return bool(np.any(shifted))
         return not d.eps_image(int(m_val)).contains(shifted)
@@ -190,7 +190,7 @@ def submodule_subfield_identity(p: int, n: int, blocks: int, seed: int) -> bool:
     rng = random.Random((p, n, blocks, seed).__repr__())
     sigma = gmod.jordan_sigma(p, [p**n] * blocks)
     pmat = fl.random_invertible(p, sigma.shape[0], rng)
-    m = gmod.make_module(p, n, ((pmat @ sigma) % p @ fl.inverse(pmat, p)) % p)
+    m = gmod.make_module(p, n, fl.matmul(fl.matmul(pmat, sigma, p), fl.inverse(pmat, p), p))
     for i in range(n + 1):
         lhs = gmod.fixed_points(m, i)
         rhs = fl.image(gmod.op_pow(m, p**n - p**i), p)

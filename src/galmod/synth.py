@@ -148,7 +148,6 @@ def synthesize(params: SynthParams) -> GaloisDatum:
     def coords(im_eps: Subspace, w: Array) -> Array:
         """Coordinates of each row of w in the canonical RREF basis of
         im_eps: the entries at its pivots."""
-        w = w % p
         if not im_eps.contains(w):
             raise AssertionError("vector outside the eps image")
         return w[:, im_eps.pivots]
@@ -167,7 +166,7 @@ def synthesize(params: SynthParams) -> GaloisDatum:
             eps[:, :d_im] = basis.T
 
         sigma_i = fl.zeros(di, di)
-        sigma_i[:d_im, :d_im] = coords(im_eps, basis @ sigma_big.T).T
+        sigma_i[:d_im, :d_im] = coords(im_eps, fl.matmul(basis, sigma_big.T, p)).T
         if with_a:
             sigma_i[d_im, d_im] = 1  # a_i is a fixed class
         space = gmod.make_module(p, i, sigma_i)
@@ -213,7 +212,8 @@ def synthesize(params: SynthParams) -> GaloisDatum:
             di = li["space"].dim
             dj = lj["space"].dim
             mtx = fl.zeros(dj, di)
-            mtx[: lj["d_im"], : li["d_im"]] = coords(lj["im_eps"], li["basis"] @ drop.T).T
+            images = fl.matmul(li["basis"], drop.T, p)
+            mtx[: lj["d_im"], : li["d_im"]] = coords(lj["im_eps"], images).T
             if li["with_a"] and lj["with_a"]:
                 mtx[lj["d_im"], li["d_im"]] = 1
             inter[j] = mtx
@@ -246,13 +246,13 @@ def _shuffle(d: GaloisDatum, seed: int) -> GaloisDatum:
     p, dim = d.p, d.J.dim
     pmat = fl.random_invertible(p, dim, rng)
     pinv = fl.inverse(pmat, p)
-    sigma2 = ((pmat @ d.J.sigma) % p @ pinv) % p
+    sigma2 = fl.matmul(fl.matmul(pmat, d.J.sigma, p), pinv, p)
     jmod = gmod.make_module(p, d.n, sigma2)
     new_levels = []
     for i, lv in enumerate(d.levels):
         if i == d.n:
             # level n IS J: its own coordinates change along with J's
-            inter = {j: (mtx @ pinv) % p for j, mtx in lv.inter_norm.items()}
+            inter = {j: fl.matmul(mtx, pinv, p) for j, mtx in lv.inter_norm.items()}
             new_levels.append(
                 LevelData(
                     space=jmod,
@@ -266,8 +266,8 @@ def _shuffle(d: GaloisDatum, seed: int) -> GaloisDatum:
             new_levels.append(
                 LevelData(
                     space=lv.space,
-                    eps=(pmat @ lv.eps) % p,
-                    norm=(lv.norm @ pinv) % p,
+                    eps=fl.matmul(pmat, lv.eps, p),
+                    norm=fl.matmul(lv.norm, pinv, p),
                     inter_norm=lv.inter_norm,
                     a_class=lv.a_class,
                 )

@@ -385,6 +385,41 @@ def test_datum_json_refuses_non_integers(tmp_path, capsys, mutate):
         assert err.startswith("cannot read") and "not an integer" in err
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1, "true", []], ids=repr)
+@pytest.mark.parametrize("key", ["xi_in_F", "minus_one_is_norm"])
+def test_datum_json_refuses_non_booleans(tmp_path, capsys, key, value):
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(datum))
+    obj[key] = value
+    datum.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (
+        ["decompose", "--in", str(datum)],
+        ["verify", "--in", str(datum), "--decomposition", str(dec)],
+        ["invariants", "--in", str(datum)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = one_line(captured.err)
+        assert err.startswith("cannot read") and f"{key} is not true or false" in err
+
+
+def test_minus_one_is_norm_false_is_read_as_false(tmp_path, capsys):
+    datum = tmp_path / "datum.json"
+    main(["synth", "--p", "2", "--n", "1", "--m", "n/a", "--e", "1,1",
+          "--minus-one-norm", "false", "--seed", "1", "--out", str(datum)])
+    obj = json.loads(read(datum))
+    assert obj["minus_one_is_norm"] is False
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(datum)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["m", ":", "n/a"]
+    obj["minus_one_is_norm"] = "false"
+    datum.write_text(json.dumps(obj))
+    assert main(["decompose", "--in", str(datum)]) == 2
+    assert one_line(capsys.readouterr().err).startswith("cannot read datum: ")
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

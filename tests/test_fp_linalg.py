@@ -263,3 +263,150 @@ def test_kernel_matrix_matches_loop_reference():
         got = fl.kernel_matrix(a, p)
         assert got.dtype == np.int64 and np.array_equal(got, kernel_rows_loop(a, p))
         assert not np.any((a @ got.T) % p)
+
+
+# -- the product helper, the delayed-reduction rref and the batched draws
+
+PRIMES = (2, 3, 5, 7, 65521)
+
+
+def test_matmul_matches_int64_oracle_on_both_sides_of_the_cutoff():
+    # n^3 multiply-adds: 16^3 is below the float64 cutoff, 32^3 above it
+    assert 16**3 < fl._BLAS_MIN_MACS <= 32**3
+    shapes = [
+        ((3, 3), (3, 3)), ((16, 16), (16, 16)), ((32, 32), (32, 32)),
+        ((8, 94), (94, 94)), ((125, 125), (125, 7)), ((40, 243), (243, 243)),
+        ((94,), (94, 94)), ((125, 125), (125,)), ((0, 64), (64, 64)), ((64, 0), (0, 64)),
+    ]
+    rng = np.random.default_rng(3)
+    for p in PRIMES:
+        for sa, sb in shapes:
+            a, b = rng.integers(0, p, sa), rng.integers(0, p, sb)
+            got = fl.matmul(a, b, p)
+            assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p), (p, sa, sb)
+
+
+# A prime above P_MAX: a product reaches 2^53 at inner dimension 2, so the
+# float64 bound can be tested with small matrices.  Its rounded 1/p is
+# below 1/p, which makes c * (1/p) fall short of the quotient at some
+# multiples c of p.
+BIG_P = 67108597
+
+
+def test_matmul_remainder_exact_next_to_multiples_of_p_at_the_float64_bound():
+    # the float64 path: 64 x 2 times 2 x 64 is past the size cutoff, and
+    # 2 (p-1)^2 < 2^53
+    p = BIG_P
+    assert fl.is_prime(p) and fl._float64_exact(2, p) and 64 * 2 * 64 >= fl._BLAS_MIN_MACS
+    rng = np.random.default_rng(5)
+    a = rng.integers(p - 2**20, p, (64, 2))
+    b = rng.integers(p - 2**20, p, (2, 64))
+    # entry (j, j) lands on a multiple of p, or 1 or 2 below or above one:
+    # where a floor taken from a rounded quotient (say c * (1/p)) is one off
+    for j in range(64):
+        r = (0, -1, 1, -2, 2)[j % 5]
+        b[1, j] = (r - int(a[j, 0]) * int(b[0, j])) * pow(int(a[j, 1]), -1, p) % p
+    c = a @ b
+    assert all(c[j, j] % p == (0, -1, 1, -2, 2)[j % 5] % p for j in range(64))
+    assert c.max() < 2**53 and np.count_nonzero(c > 2**52) > 1000
+    assert np.array_equal(fl.matmul(a, b, p), c % p)
+
+
+def test_matmul_all_max_entries():
+    p = 65521
+    a = np.full((243, 243), p - 1, dtype=np.int64)
+    assert np.array_equal(fl.matmul(a, a, p), (a @ a) % p)
+
+
+def test_matmul_takes_int64_past_the_float64_bound():
+    # inner * (p-1)^2 < 2^53 bounds the float64 path: below 2^21 under P_MAX
+    assert fl._float64_exact(2098176, 65521) and not fl._float64_exact(2098177, 65521)
+    assert not fl._float64_exact(3, BIG_P)
+    rng = np.random.default_rng(11)
+    for inner in (3, 64):
+        # odd products near p^2: a float64 sum past 2^53 drops low bits
+        a = BIG_P - 2 * rng.integers(1, 2**19, (64, inner))
+        b = BIG_P - 2 * rng.integers(1, 2**19, (inner, 64))
+        assert np.array_equal(fl.matmul(a, b, BIG_P), (a @ b) % BIG_P)
+
+
+def rref_per_pivot(a, p):
+    """Reference: rref that reduces the whole matrix after every pivot."""
+    r = np.asarray(a, dtype=np.int64) % p
+    m, n = r.shape
+    inv = fl.inverses_mod(p)
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        nz = r[row:, col].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = row + int(nz[0])
+        if i != row:
+            r[[row, i]] = r[[i, row]]
+        r[row] = (r[row] * inv[r[row, col]]) % p
+        factors = r[:, col].copy()
+        factors[row] = 0
+        if factors.any():
+            r[:, col:] -= np.outer(factors, r[row, col:])
+            r[:, col:] %= p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def _rref_cases(p, rng):
+    """Matrices 1-486 wide: dense, sparse, rank-deficient, zero columns."""
+    for rows, cols in ((1, 3), (5, 9), (20, 33), (40, 65), (81, 81), (60, 130), (125, 250),
+                       (243, 243), (100, 486)):
+        yield rng.integers(0, p, (rows, cols))
+        sparse = rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < 0.05)
+        yield sparse
+        rank = max(1, min(rows, cols) // 3)
+        low = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+        low[:, rng.random(cols) < 0.3] = 0
+        yield low
+    yield np.zeros((70, 90), dtype=np.int64)
+    yield rng.integers(-5 * p, 5 * p, (30, 70))
+
+
+def test_rref_matches_per_pivot_reference():
+    rng = np.random.default_rng(7)
+    for p in PRIMES:
+        for a in _rref_cases(p, rng):
+            r, pivots = fl.rref(a, p)
+            r0, pivots0 = rref_per_pivot(a, p)
+            assert pivots == pivots0 and np.array_equal(r, r0), (p, a.shape)
+
+
+def test_rref_reduces_every_pivot_past_the_int64_bound(monkeypatch):
+    # past the bound entries may not grow between pivots; with the bound
+    # set to 0 every matrix is past it
+    monkeypatch.setattr(fl, "_INT64_EXACT", 0)
+    rng = np.random.default_rng(9)
+    for p in (3, 65521):
+        for a in _rref_cases(p, rng):
+            r, pivots = fl.rref(a, p)
+            r0, pivots0 = rref_per_pivot(a, p)
+            assert pivots == pivots0 and np.array_equal(r, r0), (p, a.shape)
+
+
+def random_invertible_loop(p, dim, rng):
+    """Reference: one randrange per entry."""
+    while True:
+        mat = np.array(
+            [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)], dtype=np.int64
+        ).reshape(dim, dim)
+        if fl.rank(mat, p) == dim:
+            return mat
+
+
+def test_random_invertible_draws_the_randrange_stream():
+    for p in PRIMES:
+        for dim in (1, 2, 7, 243):
+            fast, slow = random.Random(f"inv-{p}-{dim}"), random.Random(f"inv-{p}-{dim}")
+            got = fl.random_invertible(p, dim, fast)
+            assert np.array_equal(got, random_invertible_loop(p, dim, slow)), (p, dim)
+            assert fast.getstate() == slow.getstate(), (p, dim)
