@@ -286,29 +286,27 @@ def test_matmul_matches_int64_oracle_on_both_sides_of_the_cutoff():
             assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p), (p, sa, sb)
 
 
-# A prime above P_MAX: a product reaches 2^53 at inner dimension 2, so the
-# float64 bound can be tested with small matrices.  Its rounded 1/p is
-# below 1/p, which makes c * (1/p) fall short of the quotient at some
-# multiples c of p.
-BIG_P = 67108597
+# Primes whose products reach a float type's bound at inner dimension 2
+# or 3 (the float64 one lies above P_MAX), so the bounds are tested on
+# small matrices.  Their rounded 1/p is below 1/p, so c * (1/p) falls
+# short of the integer quotient of many multiples c of p near the bound.
+EDGE_PRIMES = {np.float32: 2011, np.float64: 67108313}
 
 
-def test_matmul_remainder_exact_next_to_multiples_of_p_at_the_float64_bound():
-    # the float64 path: 64 x 2 times 2 x 64 is past the size cutoff, and
-    # 2 (p-1)^2 < 2^53
-    p = BIG_P
-    assert fl.is_prime(p) and fl._float64_exact(2, p) and 64 * 2 * 64 >= fl._BLAS_MIN_MACS
+@pytest.mark.parametrize("ftype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_matmul_remainder_exact_at_multiples_of_p_near_the_float_bound(ftype):
+    # 64 x 2 times 2 x 64 is past the size cutoff and takes this type
+    p = EDGE_PRIMES[ftype]
+    assert fl.is_prime(p) and fl._exact_float(2, p) is ftype
+    assert 64 * 2 * 64 >= fl._BLAS_MIN_MACS
     rng = np.random.default_rng(5)
-    a = rng.integers(p - 2**20, p, (64, 2))
-    b = rng.integers(p - 2**20, p, (2, 64))
-    # entry (j, j) lands on a multiple of p, or 1 or 2 below or above one:
-    # where a floor taken from a rounded quotient (say c * (1/p)) is one off
+    a = rng.integers(p - p // 8, p, (64, 2))
+    b = rng.integers(p - p // 8, p, (2, 64))
+    # entry (j, j) is a multiple of p or one below one
     for j in range(64):
-        r = (0, -1, 1, -2, 2)[j % 5]
-        b[1, j] = (r - int(a[j, 0]) * int(b[0, j])) * pow(int(a[j, 1]), -1, p) % p
+        b[1, j] = (-(j % 2) - int(a[j, 0]) * int(b[0, j])) * pow(int(a[j, 1]), -1, p) % p
     c = a @ b
-    assert all(c[j, j] % p == (0, -1, 1, -2, 2)[j % 5] % p for j in range(64))
-    assert c.max() < 2**53 and np.count_nonzero(c > 2**52) > 1000
+    assert all(c[j, j] % p == (0, p - 1)[j % 2] for j in range(64))
     assert np.array_equal(fl.matmul(a, b, p), c % p)
 
 
@@ -318,16 +316,22 @@ def test_matmul_all_max_entries():
     assert np.array_equal(fl.matmul(a, a, p), (a @ a) % p)
 
 
-def test_matmul_takes_int64_past_the_float64_bound():
-    # inner * (p-1)^2 < 2^53 bounds the float64 path: below 2^21 under P_MAX
-    assert fl._float64_exact(2098176, 65521) and not fl._float64_exact(2098177, 65521)
-    assert not fl._float64_exact(3, BIG_P)
+def test_matmul_takes_a_wider_type_past_each_bound():
+    # float32 while inner * (p-1)^2 < 2^24, float64 while < 2^53 (every
+    # inner dim below 2^21 under P_MAX), int64 past that
+    assert fl._exact_float(4, 3) is np.float32
+    assert fl._exact_float(2, 2897) is np.float32 and fl._exact_float(3, 2897) is np.float64
+    assert fl._exact_float(2098176, 65521) is np.float64
+    assert fl._exact_float(2098177, 65521) is None
+    big = EDGE_PRIMES[np.float64]
+    assert fl._exact_float(3, big) is None
     rng = np.random.default_rng(11)
-    for inner in (3, 64):
-        # odd products near p^2: a float64 sum past 2^53 drops low bits
-        a = BIG_P - 2 * rng.integers(1, 2**19, (64, inner))
-        b = BIG_P - 2 * rng.integers(1, 2**19, (inner, 64))
-        assert np.array_equal(fl.matmul(a, b, BIG_P), (a @ b) % BIG_P)
+    for p in (2897, big):
+        for inner in (3, 64):
+            # odd products near p^2: a float sum past the bound drops low bits
+            a = p - 2 * rng.integers(1, p // 8, (64, inner))
+            b = p - 2 * rng.integers(1, p // 8, (inner, 64))
+            assert np.array_equal(fl.matmul(a, b, p), (a @ b) % p), (p, inner)
 
 
 def rref_per_pivot(a, p):
