@@ -20,11 +20,10 @@ Array = np.ndarray
 
 # The largest supported p.  Two exactness bounds rest on it, and both
 # are checked where they apply:
-# - matmul multiplies in float32 or float64, which hold every integer
-#   below 2^24 and 2^53, so a product of reduced operands is exact in
-#   float32 while inner * (p-1)^2 < 2^24 and in float64 while it is
-#   below 2^53: for every inner dim below 2^21 under P_MAX.  Past that
-#   bound matmul multiplies in int64 (exact below 2^63).
+# - matmul multiplies in float64, which holds every integer below
+#   2^53, so a product of reduced operands is exact while
+#   inner * (p-1)^2 < 2^53: for every inner dim below 2^21 under P_MAX.
+#   Past that bound matmul multiplies in int64 (exact below 2^63).
 # - rref reduces a row only when it becomes the pivot row, so an entry
 #   stays below p + rows * (p-1)^2 in magnitude; rows below 2^31 keep
 #   that under 2^63, and past the bound rref reduces after every pivot.
@@ -85,54 +84,44 @@ def zeros(rows: int, cols: int) -> Array:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
-# Each float type with the bound below which it holds every integer
-# exactly, narrowest first (FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM
-# TOMS 2008)
-_FLOAT_EXACT = ((np.float32, 1 << 24), (np.float64, 1 << 53))
+# float64 holds every integer below 2^53 exactly (FFLAS-FFPACK: Dumas,
+# Giorgi & Pernet, ACM TOMS 2008)
+_FLOAT64_EXACT = 1 << 53
 _INT64_EXACT = 1 << 63
-# Below this many multiply-adds a product is faster in int64: the float
-# path pays about 3 us for its conversions and reduction whatever the size.
-# Measured at p=3 on a 2-core x86-64 host with OpenBLAS: a square product
-# costs 3.5 us (int64) vs 3.8 us (float64) at dim 16, 16 us vs 6 us at
-# dim 32 and 6.9 ms vs 0.63 ms at dim 243; float32 is as fast below dim
-# 48 and 1.5-2x faster from dim 94 on, with half the memory.  A
+# Products of fewer multiply-adds than this stay in int64.  The float
+# path pays about 3 us for its conversions and reduction whatever the
+# size, and its first product makes OpenBLAS's kernel code and packing
+# buffers resident, about 0.7 MB of peak RSS in a process whose products
+# are all small.  Measured at p=3 on a 2-core x86-64 host with OpenBLAS,
+# a square product costs 10.5 us (int64) vs 11.9 us (float64) at dim 16,
+# 19 vs 13 us at dim 22, 48 vs 17 us at dim 32 and 19 vs 1.3 ms at dim
+# 243: below dim 32 a product saves at most about 30 us.  A
 # matrix-vector product is no faster in floats at any size: reading the
 # matrix dominates, and the float path reads it twice.
-_BLAS_MIN_MACS = 8192
-
-
-def _exact_float(inner: int, p: int):
-    """The narrowest float type in which a product of operands reduced
-    mod p, with inner dimension ``inner``, is exact, or None: each entry
-    of the product is below inner * (p-1)^2."""
-    bound = inner * (p - 1) ** 2
-    return next((ftype for ftype, exact in _FLOAT_EXACT if bound < exact), None)
+_BLAS_MIN_MACS = 32**3
 
 
 def matmul(a: Array, b: Array, p: int) -> Array:
     """a @ b mod p, as int64, for int64 operands with entries in [0, p).
 
     1-D operands are vectors, as for numpy's ``@``.  Large enough products
-    of matrices are computed by BLAS in float32 or float64, the narrowest
-    that ``_exact_float`` finds exact; the rest, and every product past
-    the float64 bound, in int64.
+    of matrices are computed by BLAS in float64 while that is exact, i.e.
+    while inner * (p-1)^2 < 2^53; the rest in int64.
     """
     inner = a.shape[-1]
     rows = a.shape[0] if a.ndim == 2 else 1
     cols = b.shape[-1] if b.ndim == 2 else 1
-    ftype = _exact_float(inner, p)
-    if min(rows, cols) == 1 or rows * inner * cols < _BLAS_MIN_MACS or ftype is None:
+    if (min(rows, cols) == 1 or rows * inner * cols < _BLAS_MIN_MACS
+            or inner * (p - 1) ** 2 >= _FLOAT64_EXACT):
         return (a @ b) % p
-    # each float temporary is dropped once used: a float64 one at dim 243
-    # is 0.5 MB
-    af = a.astype(ftype)
-    c = af @ (af if b is a else b.astype(ftype))
+    # each float temporary is dropped once used: one at dim 243 is 0.5 MB
+    af = a.astype(np.float64)
+    c = af @ (af if b is a else b.astype(np.float64))
     del af
-    # 0 <= c < 2^t, the type's bound: the correctly rounded c/p never
-    # reaches the next integer above its floor (that would take a
-    # rounding error of 1/p, and the spacing of floats near c/p is below
-    # 2/p), nor drops below the floor, which is itself a float; so the
-    # remainder is exact.
+    # 0 <= c < 2^53: the correctly rounded c/p never reaches the next
+    # integer above its floor (that would take a rounding error of 1/p,
+    # and the spacing of floats near c/p is below 2/p), nor drops below
+    # the floor, which is itself a float; so the remainder is exact.
     q = c / p
     np.floor(q, out=q)
     q *= p

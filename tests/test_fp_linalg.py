@@ -286,52 +286,71 @@ def test_matmul_matches_int64_oracle_on_both_sides_of_the_cutoff():
             assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p), (p, sa, sb)
 
 
-# Primes whose products reach a float type's bound at inner dimension 2
-# or 3 (the float64 one lies above P_MAX), so the bounds are tested on
-# small matrices.  Their rounded 1/p is below 1/p, so c * (1/p) falls
-# short of the integer quotient of many multiples c of p near the bound.
-EDGE_PRIMES = {np.float32: 2011, np.float64: 67108313}
+# A prime whose products reach the float64 bound at inner dimension 3
+# (every prime under P_MAX reaches it only past inner dimension 2^21):
+# 2 * (p-1)^2 < 2^53 <= 3 * (p-1)^2.  Its rounded 1/p is below 1/p, so
+# c * (1/p) falls short of the integer quotient of many multiples c of
+# p near the bound.
+EDGE_PRIME = 67108313
 
 
-@pytest.mark.parametrize("ftype", [np.float32, np.float64], ids=["float32", "float64"])
-def test_matmul_remainder_exact_at_multiples_of_p_near_the_float_bound(ftype):
-    # 64 x 2 times 2 x 64 is past the size cutoff and takes this type
-    p = EDGE_PRIMES[ftype]
-    assert fl.is_prime(p) and fl._exact_float(2, p) is ftype
-    assert 64 * 2 * 64 >= fl._BLAS_MIN_MACS
+class AstypeSpy(np.ndarray):
+    """An int64 array that records the dtypes it is converted to."""
+
+    seen: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        AstypeSpy.seen.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+
+def takes_float_path(a, b, p) -> bool:
+    AstypeSpy.seen = []
+    got = fl.matmul(a.view(AstypeSpy), b, p)
+    assert np.array_equal(got, (a @ b) % p), (p, a.shape, b.shape)
+    return np.dtype(np.float64) in AstypeSpy.seen
+
+
+def test_matmul_remainder_exact_at_multiples_of_p_near_the_float_bound():
+    # 128 x 2 times 2 x 128 is past the size cutoff and takes the float path
+    p = EDGE_PRIME
+    assert fl.is_prime(p) and 2 * (p - 1) ** 2 < fl._FLOAT64_EXACT
+    assert 128 * 2 * 128 >= fl._BLAS_MIN_MACS
     rng = np.random.default_rng(5)
-    a = rng.integers(p - p // 8, p, (64, 2))
-    b = rng.integers(p - p // 8, p, (2, 64))
+    a = rng.integers(p - p // 8, p, (128, 2))
+    b = rng.integers(p - p // 8, p, (2, 128))
     # entry (j, j) is a multiple of p or one below one
-    for j in range(64):
+    for j in range(128):
         b[1, j] = (-(j % 2) - int(a[j, 0]) * int(b[0, j])) * pow(int(a[j, 1]), -1, p) % p
     c = a @ b
-    assert all(c[j, j] % p == (0, p - 1)[j % 2] for j in range(64))
-    assert np.array_equal(fl.matmul(a, b, p), c % p)
+    assert all(c[j, j] % p == (0, p - 1)[j % 2] for j in range(128))
+    assert takes_float_path(a, b, p)
 
 
 def test_matmul_all_max_entries():
     p = 65521
     a = np.full((243, 243), p - 1, dtype=np.int64)
-    assert np.array_equal(fl.matmul(a, a, p), (a @ a) % p)
+    assert takes_float_path(a, a, p)
 
 
-def test_matmul_takes_a_wider_type_past_each_bound():
-    # float32 while inner * (p-1)^2 < 2^24, float64 while < 2^53 (every
-    # inner dim below 2^21 under P_MAX), int64 past that
-    assert fl._exact_float(4, 3) is np.float32
-    assert fl._exact_float(2, 2897) is np.float32 and fl._exact_float(3, 2897) is np.float64
-    assert fl._exact_float(2098176, 65521) is np.float64
-    assert fl._exact_float(2098177, 65521) is None
-    big = EDGE_PRIMES[np.float64]
-    assert fl._exact_float(3, big) is None
+def test_matmul_takes_int64_past_the_float64_bound(monkeypatch):
+    # float64 while inner * (p-1)^2 < 2^53: under P_MAX, for every inner
+    # dim below 2^21
+    assert fl._FLOAT64_EXACT == 2**53
+    assert (2**21 - 1) * (65521 - 1) ** 2 < 2**53
+    p = EDGE_PRIME
     rng = np.random.default_rng(11)
-    for p in (2897, big):
-        for inner in (3, 64):
-            # odd products near p^2: a float sum past the bound drops low bits
-            a = p - 2 * rng.integers(1, p // 8, (64, inner))
-            b = p - 2 * rng.integers(1, p // 8, (inner, 64))
-            assert np.array_equal(fl.matmul(a, b, p), (a @ b) % p), (p, inner)
+    for inner, in_float in ((2, True), (3, False), (64, False)):
+        # odd products near p^2: a float sum past the bound drops low bits
+        a = p - 2 * rng.integers(1, p // 8, (128, inner))
+        b = p - 2 * rng.integers(1, p // 8, (inner, 128))
+        assert takes_float_path(a, b, p) is in_float, inner
+    # at the bound itself the product is in int64
+    a, b = rng.integers(0, 3, (64, 64)), rng.integers(0, 3, (64, 64))
+    monkeypatch.setattr(fl, "_FLOAT64_EXACT", 64 * 2**2 + 1)
+    assert takes_float_path(a, b, 3)
+    monkeypatch.setattr(fl, "_FLOAT64_EXACT", 64 * 2**2)
+    assert not takes_float_path(a, b, 3)
 
 
 def rref_per_pivot(a, p):

@@ -3,14 +3,14 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pair.py --base HEAD~1 --head HEAD --label fp_float64
-    python3 tools/bench_pair.py --base main --head HEAD --label x --pairs 3 --seconds 20
 
-Each commit is exported with ``git archive`` into its own directory, so
-both run from their committed files only.  For every workload the script
-runs ``python3 perfbench/run.py --trace 0`` once per commit and pair,
+Each commit is exported with ``git archive`` into its own temporary
+directory, so both run from their committed files only.  For every
+workload that BENCHMARK.json declares, the script runs
+``python3 perfbench/run.py --workload W --trace 0`` with run.py's own
+default seed and seconds, once per commit in each of 10 pairs,
 alternating which commit runs first: the host's speed drifts, and a fixed
-order would hand that drift to one side.  Runs are serial; nothing else
-of this script runs meanwhile.
+order would hand that drift to one side.  Runs are serial.
 
 ``BENCH_<label>.json`` at the repository root then holds every run's
 result line and record line, the order of each pair, the host (nproc,
@@ -34,21 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("sweep", "wide_modules", "padic_towers")
-
-
-def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", required=True, help="commit to compare against")
-    ap.add_argument("--head", default="HEAD", help="commit that carries the change")
-    ap.add_argument("--label", required=True, help="output file: BENCH_<label>.json")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=40.0, help="per run")
-    ap.add_argument("--seed", type=int, help="default: run.py's default seed")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--workdir", help="where the exported trees go (default: a new temporary "
-                    "directory, removed at the end)")
-    return ap
+# a claimed gain must win at least nine of ten pairs
+PAIRS = 10
 
 
 def git(*args: str) -> bytes:
@@ -66,14 +53,12 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_argv(workload: str, args) -> list[str]:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seconds", f"{args.seconds:g}", "--trace", "0"]
-    return argv if args.seed is None else [*argv, "--seed", str(args.seed)]
+def run_argv(workload: str) -> list[str]:
+    return [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
 
 
-def run_once(tree: Path, workload: str, args) -> dict:
-    proc = subprocess.run(run_argv(workload, args), cwd=tree, capture_output=True, text=True)
+def run_once(tree: Path, workload: str) -> dict:
+    proc = subprocess.run(run_argv(workload), cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else None
     record = next((json.loads(x)["record"] for x in lines if x.startswith('{"record"')), None)
@@ -110,42 +95,27 @@ def summarize(runs: list[dict], better: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    if args.workdir:
-        return compare(args, Path(args.workdir))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", required=True, help="commit to compare against")
+    ap.add_argument("--head", default="HEAD", help="commit that carries the change")
+    ap.add_argument("--label", required=True, help="output file: BENCH_<label>.json")
+    args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as workdir:
-        return compare(args, Path(workdir))
-
-
-def compare(args, workdir: Path) -> int:
-    workloads = [w for w in args.workloads.split(",") if w]
-    trees = {side: workdir / side for side in ("base", "head")}
-    commits = {side: export(getattr(args, side), trees[side]) for side in trees}
-    declared = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+        trees = {side: Path(workdir) / side for side in ("base", "head")}
+        commits = {side: export(getattr(args, side), trees[side]) for side in trees}
+        declared = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+        runs = run_pairs(trees, [w["name"] for w in declared["workloads"]])
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-
-    runs, failed = [], False
-    for workload in workloads:
-        for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for position, side in enumerate(order):
-                run = run_once(trees[side], workload, args)
-                runs.append({"workload": workload, "pair": pair, "position": position,
-                             "side": side, **run})
-                ok = run["exit"] == 0 and run["result"] and run["result"]["correct"]
-                failed |= not ok
-                value = run["result"]["metrics"]["items_per_ref_s"]["value"] if ok else "FAILED"
-                print(f"{workload} pair {pair} {side}: items_per_ref_s = {value}", flush=True)
-
     record = next((r["record"] for r in runs if r["record"]), {}) or {}
     out = {
         "label": args.label,
         "base": commits["base"],
         "head": commits["head"],
-        "command": " ".join(["python3", *run_argv("<workload>", args)[1:]]),
-        "pairs": args.pairs,
+        "command": " ".join(["python3", *run_argv("<workload>")[1:]]),
+        "pairs": PAIRS,
         "pair_order": "even pairs run base first, odd pairs head first",
-        "seed": record.get("seed", args.seed),
+        "seed": record.get("seed"),
+        "seconds": record.get("seconds"),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "machine": platform.machine(),
@@ -159,7 +129,23 @@ def compare(args, workdir: Path) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}")
+    failed = any(r["exit"] != 0 or not (r["result"] and r["result"]["correct"]) for r in runs)
     return 1 if failed else 0
+
+
+def run_pairs(trees: dict, workloads: list[str]) -> list[dict]:
+    runs = []
+    for workload in workloads:
+        for pair in range(PAIRS):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            for position, side in enumerate(order):
+                run = run_once(trees[side], workload)
+                runs.append({"workload": workload, "pair": pair, "position": position,
+                             "side": side, **run})
+                ok = run["exit"] == 0 and run["result"] and run["result"]["correct"]
+                value = run["result"]["metrics"]["items_per_ref_s"]["value"] if ok else "FAILED"
+                print(f"{workload} pair {pair} {side}: items_per_ref_s = {value}", flush=True)
+    return runs
 
 
 if __name__ == "__main__":
