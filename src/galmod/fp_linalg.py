@@ -6,6 +6,13 @@ reduced-row-echelon basis, so two equal subspaces have byte-identical
 bases and compare with ``==``, together with the basis's pivot columns,
 so membership is one matrix product.
 
+Each subspace operation is one elimination.  ``kernel_matrix`` returns
+the canonical RREF basis of a kernel from one ``rref`` of the matrix
+with its columns reversed, so ``kernel``, ``sub_intersect`` and
+``preimage`` build their subspaces from its rows without a second
+``rref`` (an echelon form and its rank profile come out of a single
+elimination: Dumas, Pernet & Sultan, ISSAC 2013).
+
 All operations are pure; nothing here mutates its inputs.
 """
 
@@ -131,18 +138,25 @@ def matmul(a: Array, b: Array, p: int) -> Array:
 
 
 def mat_pow(a: Array, k: int, p: int) -> Array:
-    """a^k mod p by repeated squaring; k >= 0."""
+    """a^k mod p by repeated squaring; k >= 0.
+
+    For k >= 1 it takes popcount(k) + bitlength(k) - 2 products: the
+    result starts at the lowest set bit's power, and the top bit's power
+    is not squared again.
+    """
     if k < 0:
         raise ValueError("negative matrix power")
-    n = a.shape[0]
-    result = identity(n)
+    if k == 0:
+        return identity(a.shape[0])
     base = a % p
-    while k:
+    result = None
+    while True:
         if k & 1:
-            result = matmul(result, base, p)
-        base = matmul(base, base, p)
+            result = base if result is None else matmul(result, base, p)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = matmul(base, base, p)
 
 
 def rref(a: Array, p: int) -> tuple[Array, list[int]]:
@@ -360,18 +374,30 @@ def span(p: int, ambient: int, rows) -> Subspace:
     check_prime(p)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, ambient)
     if rows.shape[0] == 0:
-        basis, pivots = zeros(0, ambient), []
-    else:
-        r, pivots = rref(rows, p)
-        basis = r[: len(pivots)].copy()
+        return zero_space(p, ambient)
+    r, pivots = rref(rows, p)
+    return _from_rref(p, ambient, r[: len(pivots)].copy(), pivots)
+
+
+def _from_rref(p: int, ambient: int, basis: Array, pivots) -> Subspace:
+    """The subspace whose canonical RREF basis and pivot columns are
+    given; takes ownership of basis and makes it read-only."""
+    check_prime(p)
     pivots = np.array(pivots, dtype=np.intp)
     basis.setflags(write=False)
     pivots.setflags(write=False)
     return Subspace(p, ambient, basis, pivots)
 
 
+def _leads(rref_rows: Array) -> Array:
+    """The leading column of each (nonzero) row."""
+    if rref_rows.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    return (rref_rows != 0).argmax(axis=1)
+
+
 def zero_space(p: int, ambient: int) -> Subspace:
-    return span(p, ambient, zeros(0, ambient))
+    return _from_rref(p, ambient, zeros(0, ambient), [])
 
 
 def full_space(p: int, ambient: int) -> Subspace:
@@ -396,11 +422,14 @@ def sub_intersect(u: Subspace, v: Subspace) -> Subspace:
     ku, kv = u.dim, v.dim
     if ku == 0 or kv == 0:
         return zero_space(u.p, u.ambient)
-    # x = Bu^T a = Bv^T b  <=>  [Bu^T | -Bv^T] (a; b) = 0
+    # x = Bu^T a = Bv^T b  <=>  [Bu^T | -Bv^T] (a; b) = 0.  b -> Bv^T b is
+    # injective, so no kernel row leads in its b part and the a parts
+    # are in RREF; a . Bu then leads at u's pivot where a leads, and is 0
+    # at the pivots where a is, so the product is in RREF too.
     m = np.concatenate([u.basis.T, (-v.basis.T) % u.p], axis=1)
-    ker = kernel_matrix(m, u.p)
-    vecs = matmul(ker[:, :ku], u.basis, u.p)
-    return span(u.p, u.ambient, vecs)
+    coeffs = kernel_matrix(m, u.p)[:, :ku]
+    vecs = matmul(coeffs, u.basis, u.p)
+    return _from_rref(u.p, u.ambient, vecs, u.pivots[_leads(coeffs)])
 
 
 def sub_complement(u: Subspace, v: Subspace) -> Subspace:
@@ -420,12 +449,20 @@ def sub_complement(u: Subspace, v: Subspace) -> Subspace:
 
 
 def kernel_matrix(a: Array, p: int) -> Array:
-    """Basis rows of {x : A x = 0}; shape (nullity, cols)."""
+    """The canonical RREF basis of {x : A x = 0}; shape (nullity, cols).
+
+    One ``rref`` of A with its columns reversed.  There, the kernel row
+    of a free column f is 1 at f, 0 at the other free columns, and
+    nonzero elsewhere only at pivots left of f.  Back in the original
+    column order that row leads with 1 at n-1-f, right of which lie all
+    its other nonzero entries, and every other row is 0 at n-1-f: the
+    rows, taken in reverse order, are already the RREF.
+    """
     a = asmod(a, p)
     m, n = a.shape
     if n == 0:
         return zeros(0, 0)
-    r, pivots = rref(a, p)
+    r, pivots = rref(a[:, ::-1], p)
     if len(pivots) == n:
         return zeros(0, n)
     is_free = np.ones(n, dtype=bool)
@@ -435,11 +472,12 @@ def kernel_matrix(a: Array, p: int) -> Array:
     ker = zeros(free.size, n)
     ker[np.arange(free.size), free] = 1
     ker[:, pivots] = (-r[: len(pivots), free].T) % p
-    return ker
+    return ker[::-1, ::-1].copy()
 
 
 def kernel(a: Array, p: int) -> Subspace:
-    return span(p, a.shape[1], kernel_matrix(a, p))
+    ker = kernel_matrix(a, p)
+    return _from_rref(p, a.shape[1], ker, _leads(ker))
 
 
 def image(a: Array, p: int) -> Subspace:
@@ -464,10 +502,12 @@ def preimage(a: Array, w: Subspace) -> Subspace:
     k = w.dim
     if k == 0:
         return kernel(a, w.p)
-    # A x = Bw^T c  <=>  [A | -Bw^T] (x; c) = 0, keep the x part
+    # A x = Bw^T c  <=>  [A | -Bw^T] (x; c) = 0, keep the x part.
+    # c -> Bw^T c is injective, so no kernel row leads in its c part and
+    # the x parts are in RREF.
     mtx = np.concatenate([asmod(a, w.p), (-w.basis.T) % w.p], axis=1)
-    ker = kernel_matrix(mtx, w.p)
-    return span(w.p, n, ker[:, :n])
+    xs = kernel_matrix(mtx, w.p)[:, :n].copy()
+    return _from_rref(w.p, n, xs, _leads(xs))
 
 
 def solve_in_space(a: Array, s: Subspace, b: Array):

@@ -261,7 +261,9 @@ def test_kernel_matrix_matches_loop_reference():
              .reshape(m, k) @ np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)],
                                        dtype=np.int64).reshape(k, n)) % p
         got = fl.kernel_matrix(a, p)
-        assert got.dtype == np.int64 and np.array_equal(got, kernel_rows_loop(a, p))
+        # the canonical RREF of the reference's rows
+        want = fl.span(p, n, kernel_rows_loop(a, p)).basis
+        assert got.dtype == np.int64 and np.array_equal(got, want)
         assert not np.any((a @ got.T) % p)
 
 
@@ -433,3 +435,165 @@ def test_random_invertible_draws_the_randrange_stream():
             got = fl.random_invertible(p, dim, fast)
             assert np.array_equal(got, random_invertible_loop(p, dim, slow)), (p, dim)
             assert fast.getstate() == slow.getstate(), (p, dim)
+
+
+def test_mat_pow_matches_repeated_products_in_fewer_matmuls(monkeypatch):
+    # popcount(k) - 1 multiplies and bitlength(k) - 1 squarings for k >= 1
+    real = fl.matmul
+    calls = []
+
+    def counting(a, b, p):
+        calls.append(a.shape)
+        return real(a, b, p)
+
+    monkeypatch.setattr(fl, "matmul", counting)
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 65521):
+        a = rng.integers(-2 * p, 2 * p, (6, 6))
+        want = fl.identity(6)
+        for k in range(41):
+            calls.clear()
+            got = fl.mat_pow(a, k, p)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (p, k)
+            assert len(calls) == (bin(k).count("1") + k.bit_length() - 2 if k else 0), (p, k)
+            want = real(want, a % p, p)
+
+
+# -- one elimination per kernel, intersection and preimage
+
+def _kernel_matrix_two_pass(a, p):
+    """The former kernel rows: one per free column of rref(A), in the
+    order of the free columns, not reduced against each other."""
+    a = fl.asmod(a, p)
+    n = a.shape[1]
+    r, pivots = fl.rref(a, p)
+    if len(pivots) == n:
+        return fl.zeros(0, n)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    ker = fl.zeros(free.size, n)
+    ker[np.arange(free.size), free] = 1
+    ker[:, pivots] = (-r[: len(pivots), free].T) % p
+    return ker
+
+
+def _span_two_pass(p, ambient, rows):
+    """The former span: a second rref of the given rows."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, ambient)
+    if rows.shape[0] == 0:
+        basis, pivots = fl.zeros(0, ambient), []
+    else:
+        r, pivots = fl.rref(rows, p)
+        basis = r[: len(pivots)].copy()
+    pivots = np.array(pivots, dtype=np.intp)
+    basis.setflags(write=False)
+    pivots.setflags(write=False)
+    return fl.Subspace(p, ambient, basis, pivots)
+
+
+def kernel_two_pass(a, p):
+    return _span_two_pass(p, a.shape[1], _kernel_matrix_two_pass(a, p))
+
+
+def sub_intersect_two_pass(u, v):
+    if u.dim == 0 or v.dim == 0:
+        return _span_two_pass(u.p, u.ambient, fl.zeros(0, u.ambient))
+    m = np.concatenate([u.basis.T, (-v.basis.T) % u.p], axis=1)
+    ker = _kernel_matrix_two_pass(m, u.p)
+    return _span_two_pass(u.p, u.ambient, fl.matmul(ker[:, : u.dim], u.basis, u.p))
+
+
+def preimage_two_pass(a, w):
+    n = a.shape[1]
+    if w.dim == 0:
+        return kernel_two_pass(a, w.p)
+    mtx = np.concatenate([fl.asmod(a, w.p), (-w.basis.T) % w.p], axis=1)
+    return _span_two_pass(w.p, n, _kernel_matrix_two_pass(mtx, w.p)[:, :n])
+
+
+def assert_same_subspace(got, want):
+    assert (got.p, got.ambient) == (want.p, want.ambient)
+    for g, w in ((got.basis, want.basis), (got.pivots, want.pivots)):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+        assert not g.flags.writeable
+
+
+def _matrices(p, rng):
+    """Zero, full-rank and rank-deficient matrices, square, tall and wide."""
+    for rows, cols in ((1, 1), (1, 4), (4, 1), (3, 3), (5, 8), (8, 5), (12, 12), (20, 40),
+                       (40, 20)):
+        yield fl.zeros(rows, cols)
+        yield fl.random_invertible(p, cols, random.Random(f"{p}-{rows}-{cols}"))[:rows]
+        yield rng.integers(0, p, (rows, cols))
+        for rank in {1, max(1, min(rows, cols) // 2)}:
+            yield (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+
+
+def _subspaces(p, ambient, rng):
+    """Empty, full and random subspaces of F_p^ambient."""
+    yield fl.zero_space(p, ambient)
+    yield fl.full_space(p, ambient)
+    for dim in {1, ambient // 2, ambient - 1}:
+        yield fl.span(p, ambient, rng.integers(0, p, (dim, ambient)))
+        low = (rng.integers(0, p, (dim + 1, 1)) @ rng.integers(0, p, (1, ambient))) % p
+        yield fl.span(p, ambient, low)
+
+
+def test_kernel_matches_two_eliminations():
+    rng = np.random.default_rng(21)
+    for p in PRIMES:
+        for a in _matrices(p, rng):
+            assert_same_subspace(fl.kernel(a, p), kernel_two_pass(a, p))
+
+
+def test_sub_intersect_matches_two_eliminations():
+    rng = np.random.default_rng(22)
+    for p in PRIMES:
+        for ambient in (1, 2, 5, 9, 24):
+            spaces = list(_subspaces(p, ambient, rng))
+            for u in spaces:
+                for v in spaces:
+                    assert_same_subspace(fl.sub_intersect(u, v), sub_intersect_two_pass(u, v))
+
+
+def test_preimage_matches_two_eliminations():
+    rng = np.random.default_rng(23)
+    for p in PRIMES:
+        for a in _matrices(p, rng):
+            for w in _subspaces(p, a.shape[0], rng):
+                assert_same_subspace(fl.preimage(a, w), preimage_two_pass(a, w))
+
+
+def test_kernel_of_a_matrix_without_columns_is_the_zero_space_of_f_p_0():
+    for p in PRIMES:
+        for rows in (0, 3):
+            a = fl.zeros(rows, 0)
+            assert fl.kernel_matrix(a, p).shape == (0, 0)
+            k = fl.kernel(a, p)
+            assert (k.p, k.ambient, k.dim, k.pivots.shape) == (p, 0, 0, (0,))
+            assert k == fl.zero_space(p, 0)
+            w = fl.full_space(p, rows) if rows else fl.zero_space(p, 0)
+            assert fl.preimage(a, w) == k
+
+
+def test_kernel_intersect_and_preimage_eliminate_once(monkeypatch):
+    real = fl.rref
+    calls = []
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(fl, "rref", counting)
+    rng = np.random.default_rng(24)
+    p = 3
+    a = (rng.integers(0, p, (6, 2)) @ rng.integers(0, p, (2, 9))) % p
+    u = fl.span(p, 9, rng.integers(0, p, (5, 9)))
+    v = fl.span(p, 9, rng.integers(0, p, (6, 9)))
+    w = fl.span(p, 6, rng.integers(0, p, (2, 6)))
+    for op in (lambda: fl.kernel(a, p), lambda: fl.sub_intersect(u, v),
+               lambda: fl.preimage(a, w), lambda: fl.preimage(a, fl.zero_space(p, 6))):
+        calls.clear()
+        result = op()
+        assert result.dim > 0 and len(calls) == 1

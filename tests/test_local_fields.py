@@ -235,6 +235,27 @@ def test_p2_cyclotomic_tower():
     assert all_clauses_pass(verify(dec, d))
 
 
+# dim_{F_p} K^x/K^xp = [K:Q_p] + 1 + [zeta_p in K] (Neukirch, Algebraic
+# Number Theory, II.5), with the values worked out by hand
+CLOSED_FORM_DIMS = {
+    (3, "unramified", 1, 40): 4,
+    (5, "unramified", 1, 28): 6,
+    (3, "cyclotomic", 1, 60): 8,
+    (2, "cyclotomic", 2, 56): 10,
+    (5, "cyclotomic", 1, 104): 22,
+}
+
+
+@pytest.mark.parametrize("spec", list(CLOSED_FORM_DIMS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_class_space_dimension_matches_the_closed_form(spec):
+    p, kind = spec[:2]
+    tw = make_tower(*spec)
+    # cyclotomic towers contain zeta_p; unramified ones only for p = 2
+    zeta_p_in_k = kind == "cyclotomic" or p == 2
+    dim = build_datum(tw).J.dim
+    assert dim == tw.deg + 1 + zeta_p_in_k == CLOSED_FORM_DIMS[spec]
+
+
 # -- exactness of the packed arithmetic ---------------------------------------
 
 # The towers of the benchmark's padic_towers set, with the CLI default
