@@ -250,7 +250,8 @@ CLOSED_FORM_DIMS = {
 def test_class_space_dimension_matches_the_closed_form(spec):
     p, kind = spec[:2]
     tw = make_tower(*spec)
-    # cyclotomic towers contain zeta_p; unramified ones only for p = 2
+    # cyclotomic towers contain zeta_p; unramified ones only for p = 2,
+    # where zeta_2 = -1
     zeta_p_in_k = kind == "cyclotomic" or p == 2
     dim = build_datum(tw).J.dim
     assert dim == tw.deg + 1 + zeta_p_in_k == CLOSED_FORM_DIMS[spec]
