@@ -39,6 +39,60 @@ def dotplus1(m) -> int:
     return int(m) + 1
 
 
+# ---------------------------------------------------------------------------
+# the shape the structure theorems give J = X + Y_0 + ... + Y_n; m is None
+# when there is no X summand
+
+
+def x_summand_exists(p: int, n: int, xi_in_F: bool, minus_one_is_norm) -> bool:
+    """Whether J has the exceptional summand X: exactly when xi_p is in F,
+    and for p = 2, n = 1 only if -1 is also a norm."""
+    if not xi_in_F:
+        return False
+    if p == 2 and n == 1:
+        if minus_one_is_norm is None:
+            raise HypothesisError(
+                "p=2, n=1: minus_one_is_norm is unknown; refusing to guess"
+            )
+        return minus_one_is_norm
+    return True
+
+
+def x_dim(p: int, m) -> int:
+    """dim X = p^m + 1 with p^(-inf) = 0; 0 when there is no X (m None)."""
+    if m is None:
+        return 0
+    return 1 if m == NEG_INF else p ** int(m) + 1
+
+
+def x_exponent(p: int, m, i: int) -> int:
+    """The k with (sigma-1)^k X the X part of [K_i^x], 0 <= i < n: below
+    m it is (sigma-1)(sigma^(p^i)-1)^(p^(m-i)-1), so k = 1 + p^m - p^i;
+    from m on (and for m = -inf) k = 1."""
+    if m == NEG_INF or int(m) <= i:
+        return 1
+    return x_dim(p, m) - p**i
+
+
+def rank_shift(m, i: int) -> int:
+    """[i = m]: the rank of Y_i is e_i minus this (0 for m None or -inf)."""
+    return int(m == i)
+
+
+def y_ranks(e, m) -> list[int]:
+    """The ranks y_i = e_i - [i = m] of the free summands Y_i."""
+    return [e_i - rank_shift(m, i) for i, e_i in enumerate(e)]
+
+
+def block_multiset(p: int, m, ranks) -> list[int]:
+    """The Jordan block sizes of J, largest first: p^i once per rank of
+    Y_i, and dim X when there is an X."""
+    blocks = [p**i for i, r in enumerate(ranks) for _ in range(r)]
+    if m is not None:
+        blocks.append(x_dim(p, m))
+    return sorted(blocks, reverse=True)
+
+
 def level_str(m) -> str:
     if m is None:
         return "n/a"
@@ -235,12 +289,12 @@ def fixed_submodule_violations(d: GaloisDatum) -> list[str]:
     if im0.dim > fixed0.dim or not fixed0.contains_space(im0):
         return ["image(eps_0) not inside J^G"]
     gap = fixed0.dim - im0.dim
-    norm0_on_fixed = fl.apply_to_space(d.levels[0].norm, fixed0)
     if gap > 1:
         return [f"dim(J^G / im eps_0) = {gap} > 1"]
-    if gap == 1 and norm0_on_fixed.dim == 0:
+    has_norm = fixed_class_has_norm(d, 0)
+    if gap == 1 and not has_norm:
         return ["J^G exceeds im eps_0 but no fixed class has a nontrivial norm"]
-    if gap == 0 and norm0_on_fixed.dim != 0:
+    if gap == 0 and has_norm:
         return ["fixed class with nontrivial norm despite J^G = im eps_0"]
     return []
 
@@ -287,22 +341,38 @@ def check_definition_hypotheses(d: GaloisDatum):
     """The hypotheses under which the exceptional level is defined."""
     if not d.xi_in_F:
         raise HypothesisError("xi_p not in F: no exceptional elements are defined")
-    if d.p == 2 and d.n == 1:
-        if d.minus_one_is_norm is None:
-            raise HypothesisError(
-                "p=2, n=1: minus_one_is_norm is unknown; refusing to guess"
-            )
-        if not d.minus_one_is_norm:
-            raise HypothesisError(
-                "p=2, n=1 and -1 is not a norm: the theorem-2 hypothesis fails"
-            )
+    if not x_summand_exists(d.p, d.n, d.xi_in_F, d.minus_one_is_norm):
+        raise HypothesisError(
+            "p=2, n=1 and -1 is not a norm: the theorem-2 hypothesis fails"
+        )
 
 
 def candidate_space(d: GaloisDatum, i) -> Subspace:
     """S_i = {x : (sigma-1) x in im eps_i}; S_{-inf} = ker(sigma-1)."""
     if i == NEG_INF:
         return d.fixed(0)
-    return fl.preimage(d.op_pow(1), d.eps_image(int(i)))
+    return gmod.memo(
+        d._cache,
+        ("candidate_space", int(i)),
+        lambda: fl.preimage(d.op_pow(1), d.eps_image(int(i))),
+    )
+
+
+def is_exceptional(d: GaloisDatum, m, w: Array) -> bool:
+    """Whether w is exceptional at level m: its norm class in J(F) is
+    nonzero and w lies in S_m, i.e. (sigma-1) w lies in im eps_m (is 0
+    at m = -inf)."""
+    if not np.any(fl.matmul(d.levels[0].norm, w, d.p)):
+        return False
+    return candidate_space(d, m).contains(w)
+
+
+def fixed_class_has_norm(d: GaloisDatum, j: int) -> bool:
+    """Whether some H_j-fixed class of J has a nonzero norm class at level j."""
+    fixed = d.fixed(j)
+    return fixed.dim > 0 and bool(
+        np.any(fl.matmul(d.levels[j].norm, fixed.basis.T, d.p))
+    )
 
 
 def _norm0_nonvanishing(d: GaloisDatum, s: Subspace) -> Array | None:
@@ -339,7 +409,7 @@ def _exceptional_search(d: GaloisDatum) -> ExceptionalReport:
             "no exceptional class found although the hypotheses guarantee one"
         )
     delta = _minimize_length(d, m, delta)
-    expected = 1 if m == NEG_INF else d.p ** int(m) + 1
+    expected = x_dim(d.p, m)
     got = gmod.length(d.J, delta)
     if got != expected:
         raise InconsistencyError(
@@ -402,11 +472,7 @@ def theorem3_level_raw(d: GaloisDatum):
     if not d.xi_in_F:
         raise HypothesisError("xi_p not in F")
     for s in [NEG_INF, *range(d.n)]:
-        i1 = dotplus1(s)
-        fixed = d.fixed(i1)
-        if fixed.dim == 0:
-            continue
-        if np.any(fl.matmul(d.levels[i1].norm, fixed.basis.T, d.p)):
+        if fixed_class_has_norm(d, dotplus1(s)):
             return s
     raise InconsistencyError("no level qualifies; J must be zero")
 
@@ -449,13 +515,7 @@ def restrict(d: GaloisDatum, j: int) -> GaloisDatum:
                 a_class=old.a_class,
             )
         )
-    minus_one = None
-    if p == 2 and n2 == 1:
-        fixed = d.fixed(j)
-        hit = fixed.dim > 0 and bool(
-            np.any(fl.matmul(d.levels[j].norm, fixed.basis.T, p))
-        )
-        minus_one = hit
+    minus_one = fixed_class_has_norm(d, j) if p == 2 and n2 == 1 else None
     return GaloisDatum(
         p=p,
         n=n2,

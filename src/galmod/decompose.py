@@ -18,8 +18,8 @@ from . import gmod
 from .datum import (
     NEG_INF,
     GaloisDatum,
-    HypothesisError,
     InconsistencyError,
+    block_multiset,
     e_ranks,
     exceptional_search,
     json_int,
@@ -27,9 +27,13 @@ from .datum import (
     level_from_str,
     level_str,
     norm_filtration,
+    rank_shift,
     restrict,
     theorem3_level_raw,
     validate,
+    x_dim,
+    x_exponent,
+    x_summand_exists,
 )
 from .fp_linalg import Array, Subspace
 
@@ -56,24 +60,8 @@ class Decomposition:
         return ranks
 
     def block_multiset(self) -> list[int]:
-        blocks = [self.p**lvl for lvl, _ in self.y_generators]
-        if self.x_generator is not None:
-            blocks.append(1 if self.m == NEG_INF else self.p ** int(self.m) + 1)
-        blocks.sort(reverse=True)
-        return blocks
-
-
-def _theorem_case(d: GaloisDatum) -> str:
-    """'T1' or 'T2' according to the hypotheses the datum satisfies."""
-    if not d.xi_in_F:
-        return "T1"
-    if d.p == 2 and d.n == 1:
-        if d.minus_one_is_norm is None:
-            raise HypothesisError(
-                "p=2, n=1 with unknown minus_one_is_norm: cannot pick a theorem case"
-            )
-        return "T2" if d.minus_one_is_norm else "T1"
-    return "T2"
+        m = None if self.x_generator is None else self.m
+        return block_multiset(self.p, m, self.y_ranks())
 
 
 def decompose(d: GaloisDatum) -> Decomposition:
@@ -87,13 +75,12 @@ def decompose(d: GaloisDatum) -> Decomposition:
     if violations:
         raise ValueError("invalid datum: " + "; ".join(violations))
     p, n = d.p, d.n
-    case = _theorem_case(d)
 
     m = None
     x_gen = None
     x_space = None
     x_fixed_line = None
-    if case == "T2":
+    if x_summand_exists(p, n, d.xi_in_F, d.minus_one_is_norm):
         report = exceptional_search(d)
         m = report.m
         x_gen = report.delta
@@ -170,10 +157,7 @@ def _subfield_image(
     y_fixed = fl.sub_intersect(y_span, d.fixed(i))
     if m is None:
         return y_fixed
-    if m == NEG_INF or int(m) <= i:
-        k = 1
-    else:
-        k = 1 + (d.p ** int(m) - d.p**i)  # (sigma-1) (sigma^(p^i)-1)^(p^(m-i)-1) on J
+    k = x_exponent(d.p, m, i)
     return fl.sub_sum(fl.apply_to_space(d.op_pow(k), x_space), y_fixed)
 
 
@@ -230,8 +214,7 @@ def verify(dec: Decomposition, d: GaloisDatum) -> dict:
     report["T.span"] = total == d.J.dim
 
     if dec.m is not None:
-        expected_x = 1 if dec.m == NEG_INF else p ** int(dec.m) + 1
-        report["T2.dimX"] = x_space is not None and x_space.dim == expected_x
+        report["T2.dimX"] = x_space is not None and x_space.dim == x_dim(p, dec.m)
     # a cyclic submodule's dimension is the length of its generator
     for (lvl, _), part in zip(dec.y_generators, y_parts):
         if part.dim != p**lvl:
@@ -257,10 +240,8 @@ def verify(dec: Decomposition, d: GaloisDatum) -> dict:
         report["C.ranks"] = False
     else:
         for i in range(n + 1):
-            if dec.m is not None and dec.m != NEG_INF and int(dec.m) == i:
-                report["C2.rank-shift"] = 1 + ranks[i] == e[i]
-            else:
-                report[f"C.rank.{i}"] = ranks[i] == e[i]
+            shift = rank_shift(dec.m, i)
+            report["C2.rank-shift" if shift else f"C.rank.{i}"] = shift + ranks[i] == e[i]
 
     # norm-image clauses: V_i = (Y_i + ... + Y_n)^G, plus X^G when i <= m
     filtration = norm_filtration(d)

@@ -36,6 +36,11 @@ Array = np.ndarray
 #   that under 2^63, and past the bound rref reduces after every pivot.
 # The table of inverses_mod holds at most P_MAX entries (512 KiB).
 P_MAX = 1 << 16
+# The largest dim J that synth builds.  A dense dim x dim int64 matrix
+# takes 8 MB at this bound, and a datum and its decomposition keep a few
+# dozen of them (level maps, cached powers of sigma - 1); the selftest
+# sweep at any --dim-cap stays at or below 313.
+DIM_MAX = 1 << 10
 
 
 def is_prime(p: int) -> bool:
@@ -74,7 +79,7 @@ _INV_CACHE: dict[int, Array] = {}
 def inverses_mod(p: int) -> Array:
     tab = _INV_CACHE.get(p)
     if tab is None:
-        tab = _inverse_table(p)
+        tab = _inverse_table(check_prime(p))
         _INV_CACHE[p] = tab
     return tab
 
@@ -372,10 +377,10 @@ class Subspace:
 def span(p: int, ambient: int, rows) -> Subspace:
     """Canonical subspace spanned by the given row vectors."""
     check_prime(p)
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, ambient)
-    if rows.shape[0] == 0:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
         return zero_space(p, ambient)
-    r, pivots = rref(rows, p)
+    r, pivots = rref(rows.reshape(-1, ambient), p)
     return _from_rref(p, ambient, r[: len(pivots)].copy(), pivots)
 
 

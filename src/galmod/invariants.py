@@ -23,6 +23,7 @@ from .datum import (
     exceptional_search,
     fixed_submodule_violations,
     i_via_theorem3,
+    is_exceptional,
     solve_norm_equation,
     validate,
 )
@@ -79,8 +80,6 @@ def exceptional_checks(d: GaloisDatum, report: dict, seed: int = 0):
         report["minimal-length"] = bool(killed.dim == 0)
     # any other generator of M_delta is exceptional too
     rng = random.Random(seed)
-    norm0 = d.levels[0].norm
-    im_m = d.eps_image(0 if rep.m == NEG_INF else int(rep.m))
     ok = True
     ell = gmod.length(d.J, rep.delta)
     for _ in range(5):
@@ -90,13 +89,7 @@ def exceptional_checks(d: GaloisDatum, report: dict, seed: int = 0):
         for k in range(1, ell):
             acc = fl.matmul(d.op_pow(1), acc, p)
             omega = (omega + rng.randrange(p) * acc) % p
-        if not np.any(fl.matmul(norm0, omega, p)):
-            ok = False
-        shifted = fl.matmul(d.op_pow(1), omega, p)
-        if rep.m == NEG_INF:
-            if np.any(shifted):
-                ok = False
-        elif not im_m.contains(shifted):
+        if not is_exceptional(d, rep.m, omega):
             ok = False
     report["exceptional-generator-independence"] = bool(ok)
 
@@ -141,14 +134,7 @@ def solve_norm_equation_checks(d: GaloisDatum, report: dict, seed: int = 0):
             m_val = None
 
     def unexceptional(v) -> bool:
-        if m_val is None:
-            return True
-        if norm_class_zero(v):
-            return True
-        shifted = fl.matmul(d.op_pow(1), v, p)
-        if m_val == NEG_INF:
-            return bool(np.any(shifted))
-        return not d.eps_image(int(m_val)).contains(shifted)
+        return m_val is None or not is_exceptional(d, m_val, v)
 
     for v in _sample_elements(d, 12, seed):
         ell = gmod.length(d.J, v)

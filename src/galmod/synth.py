@@ -18,7 +18,21 @@ import numpy as np
 
 from . import fp_linalg as fl
 from . import gmod
-from .datum import NEG_INF, GaloisDatum, LevelData, level_from_str, level_str
+from .datum import (
+    NEG_INF,
+    GaloisDatum,
+    LevelData,
+    block_multiset,
+    json_bool,
+    json_int,
+    level_from_str,
+    level_str,
+    rank_shift,
+    x_dim,
+    x_exponent,
+    x_summand_exists,
+    y_ranks,
+)
 from .fp_linalg import Array, Subspace
 
 
@@ -40,198 +54,126 @@ class SynthParams:
             raise ValueError(f"rank vector must have {self.n + 1} entries")
         if any(x < 0 for x in self.e):
             raise ValueError("ranks must be nonnegative")
-        theorem1 = self.m is None
-        if theorem1:
-            if self.xi_in_F and not (self.p == 2 and self.n == 1 and self.minus_one_is_norm is False):
-                raise ValueError(
-                    "no-X case needs xi_in_F false, or p=2, n=1 with -1 not a norm"
-                )
-            if sum(self.e) == 0:
-                raise ValueError("empty module: all ranks zero and no X block")
-        else:
-            if not self.xi_in_F:
-                raise ValueError("an X summand requires xi_in_F")
-            if self.m != NEG_INF:
-                mm = int(self.m)
-                if not 0 <= mm < self.n:
-                    raise ValueError(f"m = {mm} out of range")
-                if self.e[mm] < 1:
-                    raise ValueError(f"e_{mm} must be >= 1 (rank shift at level m)")
+        has_x = x_summand_exists(self.p, self.n, self.xi_in_F, self.minus_one_is_norm)
+        if self.m is None and has_x:
+            raise ValueError("no-X case needs xi_in_F false, or p=2, n=1 with -1 not a norm")
+        if self.m is not None and not has_x:
+            raise ValueError("an X summand requires xi_in_F, and for p=2, n=1 that -1 is a norm")
+        if self.m not in (None, NEG_INF):
+            mm = int(self.m)
+            if not 0 <= mm < self.n:
+                raise ValueError(f"m = {mm} out of range")
+            if self.y_ranks()[mm] < 0:
+                raise ValueError(f"e_{mm} must be >= 1 (rank shift at level m)")
             if self.p == 2 and self.n == 1:
-                if self.minus_one_is_norm is not True:
-                    raise ValueError("p=2, n=1 with X requires minus_one_is_norm")
-                if self.m != NEG_INF:
-                    raise ValueError("p=2, n=1 forces m = -inf")
+                raise ValueError("p=2, n=1 forces m = -inf")
+        dim = self.dim_j()
+        if dim == 0:
+            raise ValueError("empty module: all ranks zero and no X block")
+        if dim > fl.DIM_MAX:
+            raise ValueError(f"dim J = {dim} exceeds the supported bound DIM_MAX = {fl.DIM_MAX}")
 
     def y_ranks(self) -> list[int]:
-        ranks = list(self.e)
-        if self.m is not None and self.m != NEG_INF:
-            ranks[int(self.m)] -= 1
-        return ranks
+        return y_ranks(self.e, self.m)
 
     def dim_j(self) -> int:
-        d = sum(r * self.p**i for i, r in enumerate(self.y_ranks()))
-        if self.m is not None:
-            d += 1 if self.m == NEG_INF else self.p ** int(self.m) + 1
-        return d
+        return sum(r * self.p**i for i, r in enumerate(self.y_ranks())) + x_dim(self.p, self.m)
+
+
+def _coords(im_eps: Subspace, w: Array) -> Array:
+    """Coordinates of each row of w in the canonical RREF basis of im_eps:
+    the entries at its pivots."""
+    if not im_eps.contains(w):
+        raise AssertionError("vector outside the eps image")
+    return w[:, im_eps.pivots]
 
 
 def synthesize(params: SynthParams) -> GaloisDatum:
     """A canonical datum whose decomposition is known by construction."""
     params.check()
-    p, n = params.p, params.n
+    p, n, m = params.p, params.n, params.m
     ranks = params.y_ranks()
 
-    # block layout: X first (when present), then levels n down to 0
-    sizes: list[int] = []
-    if params.m is not None:
-        x_dim = 1 if params.m == NEG_INF else p ** int(params.m) + 1
-        sizes.append(x_dim)
-    level_of_block: list[int | None] = [None] * len(sizes)
-    for i in range(n, -1, -1):
-        for _ in range(ranks[i]):
-            sizes.append(p**i)
-            level_of_block.append(i)
-    dim = sum(sizes)
-    if dim == 0:
-        raise ValueError("empty module")
-    sigma = gmod.jordan_sigma(p, sizes)
+    # block layout: X first (size 0 when absent), then levels n down to 0
+    x_size = x_dim(p, m)
+    y_sizes = [p**i for i in range(n, -1, -1) for _ in range(ranks[i])]
+    sigma = gmod.jordan_sigma(p, [x_size, *y_sizes])
+    dim = sigma.shape[0]
     jmod = gmod.make_module(p, n, sigma)
-
-    offsets = np.cumsum([0, *sizes[:-1]])
-    has_x = params.m is not None
-    x_off = 0 if has_x else None
-    x_dim = sizes[0] if has_x else 0
-
-    def block_fixed_rows(i: int) -> list[Array]:
-        """Basis rows of Y^{H_i}: the last min(p^i, size) coordinates of
-        each Y block."""
-        rows = []
-        for b, size in enumerate(sizes):
-            if level_of_block[b] is None:
-                continue
-            keep = min(p**i, size)
-            for k in range(size - keep, size):
-                row = np.zeros(dim, dtype=np.int64)
-                row[offsets[b] + k] = 1
-                rows.append(row)
-        return rows
-
-    def x_rows(from_idx: int) -> list[Array]:
-        rows = []
-        for k in range(from_idx, x_dim):
-            row = np.zeros(dim, dtype=np.int64)
-            row[x_off + k] = 1
-            rows.append(row)
-        return rows
-
-    def eps_image_rows(i: int) -> list[Array]:
-        if i == n:
-            return [row for row in fl.identity(dim)]
-        rows = block_fixed_rows(i)
-        if has_x:
-            if params.m == NEG_INF:
-                pass  # X^(sigma-1) = 0
-            elif int(params.m) <= i:
-                rows.extend(x_rows(1))
-            else:
-                rows.extend(x_rows(p ** int(params.m) + 1 - p**i))
-        return rows
+    y_ends = x_size + np.cumsum(y_sizes, dtype=int)
 
     # the X-generator dual coordinate drives every norm's a_i component
     phi = np.zeros(dim, dtype=np.int64)
-    if has_x:
-        phi[x_off] = 1
+    if m is not None:
+        phi[0] = 1
 
-    sigma_big = sigma
-
-    def coords(im_eps: Subspace, w: Array) -> Array:
-        """Coordinates of each row of w in the canonical RREF basis of
-        im_eps: the entries at its pivots."""
-        if not im_eps.contains(w):
-            raise AssertionError("vector outside the eps image")
-        return w[:, im_eps.pivots]
-
-    levels = []
+    levels: list[LevelData] = []
+    images: list[Subspace] = []
     for i in range(n + 1):
-        rows = eps_image_rows(i)
-        im_eps = fl.span(p, dim, np.array(rows).reshape(-1, dim))
-        basis = im_eps.basis  # canonical RREF rows u_1..u_d
-        d_im = im_eps.dim
+        # im eps_i is spanned by coordinates: all of J at level n; below it
+        # Y^{H_i} (the last min(p^i, size) of each Y block) and the X part
+        # (sigma-1)^k X (the X coordinates from k on)
+        if i == n:
+            cols = list(range(dim))
+        else:
+            cols = [
+                c
+                for end, size in zip(y_ends, y_sizes)
+                for c in range(end - min(p**i, size), end)
+            ]
+            if m is not None:
+                cols.extend(range(x_exponent(p, m, i), x_size))
+        im_eps = fl.span(p, dim, fl.identity(dim)[cols])
+        basis, d_im = im_eps.basis, im_eps.dim
         with_a = params.xi_in_F and i < n
-        di = d_im + (1 if with_a else 0)
+        di = d_im + with_a
 
         eps = fl.zeros(dim, di)
-        if d_im:
-            eps[:, :d_im] = basis.T
-
+        eps[:, :d_im] = basis.T
         sigma_i = fl.zeros(di, di)
-        sigma_i[:d_im, :d_im] = coords(im_eps, fl.matmul(basis, sigma_big.T, p)).T
-        if with_a:
-            sigma_i[d_im, d_im] = 1  # a_i is a fixed class
-        space = gmod.make_module(p, i, sigma_i)
-
-        drop = gmod.op_pow(jmod, p**n - p**i)
+        sigma_i[:d_im, :d_im] = _coords(im_eps, fl.matmul(basis, sigma.T, p)).T
+        # the norm is a lift of (sigma-1)^(p^n - p^i) through eps
         norm = fl.zeros(di, dim)
-        norm[:d_im, :] = coords(im_eps, drop.T).T
-        if with_a:
-            norm[d_im, :] = phi
-
+        norm[:d_im, :] = _coords(im_eps, gmod.op_pow(jmod, p**n - p**i).T).T
         a_class = None
         if with_a:
+            sigma_i[d_im, d_im] = 1  # a_i is a fixed class
+            norm[d_im, :] = phi
             a_class = np.zeros(di, dtype=np.int64)
             a_class[d_im] = 1
 
-        levels.append(
-            {
-                "space": space,
-                "eps": eps,
-                "norm": norm,
-                "basis": basis,
-                "d_im": d_im,
-                "with_a": with_a,
-                "a_class": a_class,
-                "im_eps": im_eps,
-            }
-        )
-
-    # inter-norms: on the eps part, coordinates of (sigma-1)^(p^i - p^j)
-    # applied to the level-i basis; the a_i line maps to a_j
-    level_data = []
-    for i in range(n + 1):
-        li = levels[i]
+        # inter-norms: on the eps part, coordinates of (sigma-1)^(p^i - p^j)
+        # applied to the level-i basis; the a_i line maps to a_j
         inter = {}
-        for j in range(i):
-            lj = levels[j]
+        for j, (lj, im_j) in enumerate(zip(levels, images)):
             if i == n:
                 # norm at level n is the identity, so coherence forces the
                 # inter-norm to agree with the level-j norm outright
-                inter[j] = lj["norm"].copy()
+                inter[j] = lj.norm.copy()
                 continue
+            mtx = fl.zeros(lj.space.dim, di)
             drop = gmod.op_pow(jmod, p**i - p**j)
-            di = li["space"].dim
-            dj = lj["space"].dim
-            mtx = fl.zeros(dj, di)
-            images = fl.matmul(li["basis"], drop.T, p)
-            mtx[: lj["d_im"], : li["d_im"]] = coords(lj["im_eps"], images).T
-            if li["with_a"] and lj["with_a"]:
-                mtx[lj["d_im"], li["d_im"]] = 1
+            mtx[: im_j.dim, :d_im] = _coords(im_j, fl.matmul(basis, drop.T, p)).T
+            if with_a:
+                mtx[im_j.dim, d_im] = 1
             inter[j] = mtx
-        level_data.append(
+
+        levels.append(
             LevelData(
-                space=li["space"],
-                eps=li["eps"],
-                norm=li["norm"],
+                space=gmod.make_module(p, i, sigma_i),
+                eps=eps,
+                norm=norm,
                 inter_norm=inter,
-                a_class=li["a_class"],
+                a_class=a_class,
             )
         )
+        images.append(im_eps)
 
     d = GaloisDatum(
         p=p,
         n=n,
         J=jmod,
-        levels=level_data,
+        levels=levels,
         xi_in_F=params.xi_in_F,
         minus_one_is_norm=params.minus_one_is_norm,
     )
@@ -303,10 +245,8 @@ def random_params(p: int, n: int, seed: int, rank_cap: int = 3, dim_cap: int = 1
             else:
                 xi = True
                 m = rng.choice([NEG_INF, *range(n)])
-                m1 = True if (p == 2 and n == 1) else None
-        e = [rng.randrange(rank_cap + 1) for _ in range(n + 1)]
-        if m is not None and m != NEG_INF and e[int(m)] == 0:
-            e[int(m)] = 1
+                m1 = None
+        e = [max(rng.randrange(rank_cap + 1), rank_shift(m, i)) for i in range(n + 1)]
         params = SynthParams(
             p=p, n=n, m=m, e=tuple(e), xi_in_F=xi, minus_one_is_norm=m1
         )
@@ -336,26 +276,25 @@ def params_to_json(params: SynthParams) -> dict:
 
 
 def params_from_json(obj: dict) -> SynthParams:
-    return SynthParams(
-        p=int(obj["p"]),
-        n=int(obj["n"]),
-        m=level_from_str(obj["m"]),
-        e=tuple(int(x) for x in obj["e"]),
-        xi_in_F=bool(obj["xi_in_F"]),
-        minus_one_is_norm=obj.get("minus_one_is_norm"),
-        shuffle_seed=obj.get("shuffle_seed"),
-    )
+    try:
+        m = obj["m"]
+        minus_one = obj.get("minus_one_is_norm")
+        seed = obj.get("shuffle_seed")
+        return SynthParams(
+            p=json_int(obj["p"], "p"),
+            n=json_int(obj["n"], "n"),
+            m=level_from_str(m if m is None or isinstance(m, str) else json_int(m, "m")),
+            e=tuple(json_int(x, "e") for x in obj["e"]),
+            xi_in_F=json_bool(obj["xi_in_F"], "xi_in_F"),
+            minus_one_is_norm=None if minus_one is None else json_bool(minus_one, "minus_one_is_norm"),
+            shuffle_seed=None if seed is None else json_int(seed, "shuffle_seed"),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed synth parameters JSON: {exc}") from exc
 
 
 def sidecar(params: SynthParams) -> dict:
     """The expected answer recorded next to a synthesized datum."""
-    blocks = sorted(
-        (p_i for i, r in enumerate(params.y_ranks()) for p_i in [params.p**i] * r),
-        reverse=True,
-    )
-    if params.m is not None:
-        blocks.append(1 if params.m == NEG_INF else params.p ** int(params.m) + 1)
-        blocks.sort(reverse=True)
     return {
         "params": params_to_json(params),
         "expected": {
@@ -363,7 +302,7 @@ def sidecar(params: SynthParams) -> dict:
             "y_ranks": params.y_ranks(),
             "e": list(params.e),
             "dim_J": params.dim_j(),
-            "block_multiset": blocks,
+            "block_multiset": block_multiset(params.p, params.m, params.y_ranks()),
         },
     }
 

@@ -278,6 +278,18 @@ def test_synth_and_local_refuse_p_above_bound(tmp_path, capsys, no_prime_work):
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "y.json").exists()
 
 
+@pytest.mark.parametrize("p, n", [(2, 40), (3, 9), (2, 11)])
+def test_synth_refuses_dim_above_bound(tmp_path, capsys, p, n):
+    # one free block of dimension p^n: 2^40, 3^9 = 19683 and 2^11 = 2048
+    e = ",".join(["0"] * n + ["1"])
+    rc = main(["synth", "--p", str(p), "--n", str(n), "--e", e, "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = one_line(capsys.readouterr().err)
+    assert err.startswith(f"invalid parameters: dim J = {p**n} exceeds")
+    assert "DIM_MAX" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_datum_json_with_p_above_bound_refused(tmp_path, capsys, no_prime_work):
     datum, dec = readme_example(tmp_path)
     obj = json.loads(read(datum))

@@ -575,6 +575,14 @@ def test_kernel_of_a_matrix_without_columns_is_the_zero_space_of_f_p_0():
             assert k == fl.zero_space(p, 0)
             w = fl.full_space(p, rows) if rows else fl.zero_space(p, 0)
             assert fl.preimage(a, w) == k
+            assert fl.span(p, 0, a) == k
+        assert fl.full_space(p, 0) == fl.zero_space(p, 0)
+
+
+def test_inverse_table_is_not_built_for_a_refused_modulus():
+    with pytest.raises(ValueError, match="P_MAX"):
+        fl.kernel(fl.zeros(2, 2), 65537)
+    assert 65537 not in fl._INV_CACHE
 
 
 def test_kernel_intersect_and_preimage_eliminate_once(monkeypatch):
