@@ -194,16 +194,8 @@ def _cmd_invariants(args) -> int:
 def _cmd_local(args) -> int:
     from .local_fields import PrecisionError
 
-    precision = args.precision
     try:
-        if precision is None:
-            # conservative default well above the module's minimum
-            if args.kind == "cyclotomic":
-                e = 2 ** (args.n + 1) if args.p == 2 else args.p**args.n * (args.p - 1)
-            else:
-                e = 1
-            precision = e * 3 + e + 24
-        tower = make_tower(args.p, args.kind, args.n, precision)
+        tower = make_tower(args.p, args.kind, args.n, args.precision)
         d = build_datum(tower)
     except (ValueError, PrecisionError) as exc:
         print(f"cannot build tower: {exc}", file=sys.stderr)

@@ -5,14 +5,25 @@ with no p-th root of unity in the base; CYCLOTOMIC towers adjoin p-power
 roots of unity (for p = 2 the base is Q_2(i) and the generator acts by
 zeta -> zeta^5, the cyclic part of the 2-cyclotomic Galois group).
 
+A tower is described to the arithmetic by (e, f, r, pi): the
+ramification index e, the residue degree f = [K:Q_p]/e, the residue
+polynomial r over F_p, whose quotient F_p[x]/(r) is the residue field
+of K, and the uniformizer pi as a polynomial in the field generator x.
+Unramified towers have e = 1, r the defining polynomial mod p, and
+pi = p; cyclotomic towers use the Eisenstein power basis, where the
+generator is the uniformizer itself: f = 1, r = x and pi = x.  The
+constructor sets these from the kind; valuations, residues, Teichmuller
+lifts and the class walk read only them, so both families share one
+path.  The residue field of K_i is the subspace of F_p[x]/(r) fixed by
+Frobenius^(f_i), f_i its residue degree.
+
 Elements live in the top field K in floating form pi^val * unit, the
-unit being a polynomial in the field generator with coefficients modulo
-p^cp, together with an absolute precision bound aprec (in pi-digits):
-the represented value is guaranteed modulo pi^aprec.  Addition that
-cancels past the bound collapses to an exact zero-at-precision, which
-is what equality tests consume.  For cyclotomic towers the generator is
-the uniformizer itself (Eisenstein power basis), so valuations read off
-coefficients exactly; for unramified towers pi = p.
+unit being a polynomial in x with coefficients modulo p^cp, together
+with an absolute precision bound aprec (in pi-digits): the represented
+value is guaranteed modulo pi^aprec.  Addition that cancels past the
+bound collapses to an exact zero-at-precision, which is what equality
+tests consume.  The generator x is pi or a unit, so valuations read off
+coefficients exactly.
 
 Unit arithmetic is polynomial multiplication modulo (f, p^cp).
 ``_poly_mulmod`` packs each operand into one integer with byte-aligned
@@ -21,7 +32,7 @@ substitution), does one big-integer multiply, and folds the high half
 back with packed rows of x^k mod f, cached per (f, modulus) for the
 few most recently used moduli.  Each tower caches the uniformizer
 powers its valuation machinery reuses: the multiplier p^k / pi^t,
-k = ceil(t/e), that ``_strip`` divides by pi^t with, and x^delta for
+k = ceil(t/e), that ``_strip`` divides by pi^t with, and pi^delta for
 ``_shift``.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops
 once uv = 1, where further rounds leave v unchanged.  All of this is
 exact: results are the same residues the schoolbook product gives.
@@ -210,8 +221,11 @@ def _gf_poly_inverse(a: list[int], f: list[int], p: int) -> list[int]:
     """a^-1 mod (f, p) as deg f coefficients, by the extended Euclidean
     algorithm; ZeroDivisionError unless a is prime to f mod p."""
     d = len(f) - 1
+    r1 = _poly_trim([c % p for c in a])
+    if len(r1) == 1:  # a nonzero constant, the whole residue when deg f = 1
+        return [pow(r1[0], p - 2, p)] + [0] * (d - 1)
     # invariant: s_k * a = r_k mod f, starting from (0, f) and (1, a)
-    r0, r1 = _poly_trim([c % p for c in f]), _poly_trim([c % p for c in a])
+    r0 = _poly_trim([c % p for c in f])
     s0, s1 = [], [1]
     while r1:
         q, r = _gf_poly_divmod(r0, r1, p)
@@ -311,7 +325,13 @@ def _amin(*vals):
 class LocalTower:
     """A cyclic tower of p-adic fields with truncated exact arithmetic."""
 
-    def __init__(self, p: int, kind: str, n: int, precision: int):
+    def __init__(self, p: int, kind: str, n: int, precision: int | None = None):
+        """The tower of the given kind; precision None means 4e + 24
+        pi-digits.  The kind decides the arithmetic here and nowhere else
+        in the valuation, residue and class code: it fixes the degree, the
+        ramification index e, the residue degree f = deg/e, the residue
+        polynomial r with residue field F_p[x]/(r), and the uniformizer pi
+        as a polynomial in the generator x."""
         fl.check_prime(p)
         kind = kind.lower()
         if kind not in (UNRAMIFIED, CYCLOTOMIC):
@@ -322,24 +342,46 @@ class LocalTower:
             raise ValueError(
                 "unramified towers need p odd (xi_2 = -1 lies in every 2-adic field)"
             )
+        # dim J = [K:Q_p] + 1 + [xi_p in K] and [K:Q_p] >= p^n >= 2^n: a
+        # height past log2 DIM_MAX is refused before p^n is formed
+        if n >= fl.DIM_MAX.bit_length():
+            raise ValueError(
+                f"dim J > 2^{n} exceeds the supported bound DIM_MAX = {fl.DIM_MAX}"
+            )
         self.p = p
         self.kind = kind
         self.n = n
 
         if kind == UNRAMIFIED:
-            self.deg = p**n
-            self.e = 1
-            self.minpoly = _find_unramified_poly(p, self.deg)
+            self.deg, self.e, self.xi_in_F = p**n, 1, False
         else:
-            if p == 2:
-                self.cyclo_power = n + 2  # K = Q_2(zeta_{2^(n+2)}), F = Q_2(i)
-                self.deg = 2 ** (n + 1)
-            else:
-                self.cyclo_power = n + 1  # K = Q_p(zeta_{p^(n+1)}), F = Q_p(zeta_p)
-                self.deg = p**n * (p - 1)
-            self.e = self.deg
-            self.minpoly = _cyclotomic_shifted(p, self.cyclo_power)
+            # K = Q_2(zeta_{2^(n+2)}) over F = Q_2(i), else Q_p(zeta_{p^(n+1)})
+            # over F = Q_p(zeta_p)
+            self.cyclo_power = n + 2 if p == 2 else n + 1
+            self.deg = self.e = 2 ** (n + 1) if p == 2 else p**n * (p - 1)
+            self.xi_in_F = True
+        self.f = self.deg // self.e
+        dim = self.deg + 1 + self.xi_in_F
+        if dim > fl.DIM_MAX:
+            raise ValueError(f"dim J = {dim} exceeds the supported bound DIM_MAX = {fl.DIM_MAX}")
 
+        if kind == UNRAMIFIED:
+            # pi = p, and x is a unit whose residue generates F_p[x]/(f mod p)
+            self.minpoly = _find_unramified_poly(p, self.deg)
+            self.r = [c % p for c in self.minpoly]
+            self._pi_poly, self._x_val, self._p_over_pi = [p], 0, [1]
+        else:
+            # Eisenstein power basis: pi = x reduces to 0, residue field F_p;
+            # pi * (x^(d-1) + a_{d-1} x^(d-2) + ... + a_1) = -p
+            self.minpoly = _cyclotomic_shifted(p, self.cyclo_power)
+            assert self.minpoly[0] == p
+            self.r = [0, 1]
+            self._pi_poly, self._x_val = [0, 1], 1
+            self._p_over_pi = [(-c) for c in self.minpoly[1:]]
+
+        if precision is None:
+            # conservative default well above the threshold m_min
+            precision = self.e * 3 + self.e + 24
         m_min = self.e * math.ceil(p / (p - 1)) + self.e + 8
         if precision < m_min:
             raise PrecisionError(
@@ -352,16 +394,10 @@ class LocalTower:
 
         self.fpoly = [c % self.modulus for c in self.minpoly]
         # per-tower powers of the uniformizer: t -> (modulus * p^k, f mod
-        # that, p^k / pi^t mod both, p^k) for _strip; delta -> x^delta for
+        # that, p^k / pi^t mod both, p^k) for _strip; delta -> pi^delta for
         # _shift
         self._strip_tables: dict[int, tuple] = {}
         self._shift_powers: dict[int, list[int]] = {}
-        if kind == CYCLOTOMIC:
-            assert self.minpoly[0] == p
-            # pi * (x^(d-1) + a_{d-1} x^(d-2) + ... + a_1) = -p
-            self._p_over_pi = [(-c) for c in self.minpoly[1:]]
-        else:
-            self._p_over_pi = None
 
         self._unit_one = (1,) + (0,) * (self.deg - 1)
         # Elements the tower keeps (sigma's uniformizer units, the level
@@ -373,6 +409,10 @@ class LocalTower:
 
         self._galois_setup()
         self._level_setup()
+        # the matrix of c -> c^p on F_p[x]/(r), column j the image of x^j
+        frob_cols = [_poly_powmod([0] * j + [1], p, self.r, p) for j in range(self.f)]
+        self._res_frobenius = np.array(frob_cols, dtype=np.int64).T
+        self._residue_fields: dict[int, fl.Subspace] = {}
         self._classes: dict[int, _LevelClasses] = {}
 
     # -- element construction ------------------------------------------------
@@ -424,8 +464,8 @@ class LocalTower:
 
     def _poly_val(self, c: list[int]) -> int:
         """Valuation in pi-digits of a polynomial in the generator, 0 if
-        it is zero; the generator is pi (cyclotomic) or a unit."""
-        p, step = self.p, 1 if self.kind == CYCLOTOMIC else 0
+        it is zero; the generator is pi (valuation 1) or a unit (0)."""
+        p, step = self.p, self._x_val
         best = None
         for k, x in enumerate(c):
             if x:
@@ -443,16 +483,11 @@ class LocalTower:
         Multiplies by q = p^k / pi^t, integral for k = ceil(t/e), modulo
         the enlarged modulus p^(cp+k), so the quotient c*q / p^k keeps cp
         digits.  That quotient is the same as c * (p/pi)^t / p^t taken
-        modulo p^(cp+t): both are c / pi^t mod p^cp.
+        modulo p^(cp+t): both are c / pi^t mod p^cp.  When pi = p, q = 1.
         """
         if t == 0:
             return list(c)
         p = self.p
-        if self.kind == UNRAMIFIED:
-            pt = p**t
-            if any(x % pt for x in c):
-                raise PrecisionError("strip below the honest valuation")
-            return [(x // pt) % self.modulus for x in c]
         table = self._strip_tables.get(t)
         if table is None:
             k = -(-t // self.e)
@@ -462,7 +497,7 @@ class LocalTower:
                 [x % wide for x in self._p_over_pi], t, [x % wide for x in self.minpoly], wide
             )
             mod_k = self.modulus * p**k
-            q = [x // p ** (t - k) for x in q_wide]
+            q = _poly_trim([x // p ** (t - k) for x in q_wide])
             table = self._strip_tables[t] = (mod_k, [x % mod_k for x in self.minpoly], q, p**k)
         mod_k, fk, q, pk = table
         acc = _poly_mulmod(c, q, fk, mod_k)
@@ -474,13 +509,12 @@ class LocalTower:
         """Multiply a polynomial by pi^delta (delta >= 0)."""
         if delta == 0:
             return list(c)
-        if self.kind == UNRAMIFIED:
-            pd = self.p**delta
-            return [x * pd % self.modulus for x in c]
-        xd = self._shift_powers.get(delta)
-        if xd is None:
-            xd = self._shift_powers[delta] = _poly_powmod([0, 1], delta, self.fpoly, self.modulus)
-        return _poly_mulmod(c, xd, self.fpoly, self.modulus)
+        pd = self._shift_powers.get(delta)
+        if pd is None:
+            pd = self._shift_powers[delta] = _poly_trim(
+                _poly_powmod(self._pi_poly, delta, self.fpoly, self.modulus)
+            )
+        return _poly_mulmod(c, pd, self.fpoly, self.modulus)
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -559,13 +593,8 @@ class LocalTower:
         return LFElement(self, -x.val, tuple(v), a)
 
     def _residue_inverse(self, u: list[int]) -> list[int]:
-        p, d = self.p, self.deg
-        if self.kind == CYCLOTOMIC:
-            c0 = u[0] % p
-            if c0 == 0:
-                raise ZeroDivisionError("not a unit")
-            return [pow(c0, p - 2, p)] + [0] * (d - 1)
-        return _gf_poly_inverse(u, self.fpoly, p)
+        """A lift of the inverse of u's residue u[:f] in F_p[x]/(r)."""
+        return _gf_poly_inverse(u[: self.f], self.r, self.p) + [0] * (self.deg - self.f)
 
     def powi(self, x: LFElement, e: int) -> LFElement:
         if e < 0:
@@ -584,14 +613,14 @@ class LocalTower:
         return self.add(x, self.neg(y)).is_zero
 
     def residue(self, x: LFElement):
-        """Residue of a valuation-zero unit: int mod p, or an F_q tuple."""
+        """Residue of a valuation-zero unit in F_p[x]/(r), as the tuple of
+        its first f coefficients mod p (when f < deg, r = x, so x^k
+        reduces to 0 for k >= f)."""
         if x.is_zero or x.val != 0:
             raise ValueError("residue requires a valuation-zero unit")
         if x.aprec is not None and x.aprec < self.e:
             raise PrecisionError("no full residue digit left")
-        if self.kind == CYCLOTOMIC:
-            return x.unit[0] % self.p
-        return tuple(v % self.p for v in x.unit)
+        return tuple(map(self.p.__rmod__, x.unit[: self.f]))
 
     # -- Galois action --------------------------------------------------------
 
@@ -709,56 +738,46 @@ class LocalTower:
                 pi_i = self.add(self.zeta(rel), self.neg(self.one))
                 if pi_i.val != rel:
                     raise ValueError("level uniformizer has unexpected valuation")
-                self.level_uniformizer.append(self._own(pi_i))
-                self.level_e.append(self.e // rel)
-                self.level_rel_e.append(rel)
-        if self.kind == CYCLOTOMIC:
-            for i in range(n + 1):
-                pi_i = self.level_uniformizer[i]
                 if not self.eq(self.galois(pi_i, p**i), pi_i):
                     raise ValueError(f"sigma^(p^{i}) does not fix level {i}")
                 if i >= 1 and self.eq(self.galois(pi_i, p ** (i - 1)), pi_i):
                     raise ValueError(f"level {i} fixed too early: non-cyclic tower")
+                self.level_uniformizer.append(self._own(pi_i))
+                self.level_e.append(self.e // rel)
+                self.level_rel_e.append(rel)
 
     # -- residue machinery -----------------------------------------------------------
 
-    def _residue_frobenius_matrix(self) -> Array:
-        p, d = self.p, self.deg
-        fbar = [c % p for c in self.fpoly]
-        cols = []
-        for j in range(d):
-            img = _poly_powmod([0] * j + [1], p, fbar, p)
-            cols.append(img + [0] * (d - len(img)))
-        return np.array(cols, dtype=np.int64).T % p
-
-    def _subfield_residue_basis(self, i: int):
-        """F_p-basis of the residue field of K_i (as residue data)."""
-        if self.kind == CYCLOTOMIC:
-            return [1]
-        frob = self._residue_frobenius_matrix()
-        fi = fl.mat_pow(frob, self.p**i, self.p)
-        sub = fl.kernel((fi - fl.identity(self.deg)) % self.p, self.p)
-        if sub.dim != self.p**i:
-            raise AssertionError("residue subfield has wrong dimension")
-        return [tuple(int(v) for v in row) for row in sub.basis]
+    def _residue_field(self, i: int) -> fl.Subspace:
+        """The residue field of K_i inside F_p[x]/(r): the subspace fixed
+        by Frobenius^(f_i), f_i = [K_i:Q_p]/e_i its residue degree; levels
+        of one residue degree share it."""
+        p = self.p
+        f_i = self.deg // p ** (self.n - i) // self.level_e[i]
+        sub = self._residue_fields.get(f_i)
+        if sub is None:
+            frob_fi = fl.mat_pow(self._res_frobenius, f_i, p)
+            sub = self._residue_fields[f_i] = fl.kernel((frob_fi - fl.identity(self.f)) % p, p)
+            if sub.dim != f_i:
+                raise AssertionError("residue subfield has wrong dimension")
+        return sub
 
     def res_lift(self, residue) -> LFElement:
         """Any integral lift with the given residue (not Teichmuller)."""
-        if self.kind == CYCLOTOMIC:
-            r = int(residue) % self.p
-            return self.zero if r == 0 else self.from_int(r)
         if all(v % self.p == 0 for v in residue):
             return self.zero
         return self.from_poly(list(residue))
 
     def teichmuller(self, residue) -> LFElement:
         """The Teichmuller lift of a nonzero residue: the root of
-        X^(q-1) = 1 reducing to it."""
-        p, d = self.p, self.deg
-        if self.kind == CYCLOTOMIC:
-            r = int(residue) % p
-            if r == 0:
-                raise ValueError("zero residue")
+        X^(q-1) = 1 reducing to it, q = p^f."""
+        p = self.p
+        if all(v % p == 0 for v in residue):
+            raise ValueError("zero residue")
+        if self.f == 1:
+            # Newton's iteration on the integer lift: cheaper than the
+            # tower's own for a residue in F_p
+            r = residue[0] % p
             if p == 2 or r == 1:
                 return self.one
             mod = self.modulus
@@ -769,9 +788,7 @@ class LocalTower:
                 x = (x - num * pow(den, -1, mod)) % mod
             return self.from_int(x)
         x = self.res_lift(residue)
-        if x.is_zero:
-            raise ValueError("zero residue")
-        q = p**d
+        q = p**self.f
         for _ in range(max(3, math.ceil(math.log2(self.cp * self.e)) + 3)):
             xq = self.powi(x, q)
             num = self.add(xq, self.neg(x))
@@ -784,14 +801,10 @@ class LocalTower:
         return x
 
     def _residue_frob_inverse(self, residue):
-        """delta with delta^p = residue in the residue field."""
-        p = self.p
-        if self.kind == CYCLOTOMIC:
-            return int(residue) % p
-        d = self.deg
-        fbar = [c % p for c in self.fpoly]
-        out = _poly_powmod(list(residue), p ** (d - 1), fbar, p)
-        return tuple(out + [0] * (d - len(out)))
+        """delta with delta^p = residue in F_p[x]/(r): residue^(p^(f-1))."""
+        p, f = self.p, self.f
+        out = _poly_powmod(list(residue), p ** (f - 1), self.r, p)
+        return tuple(out + [0] * (f - len(out)))
 
     # -- p-th roots ----------------------------------------------------------------
 
@@ -878,77 +891,60 @@ class _LevelClasses:
         self.pi_i = tower.level_uniformizer[i]
         self.crit = p * self.e_i // (p - 1) if (p * self.e_i) % (p - 1) == 0 else None
         self.jstar = (p * self.e_i) // (p - 1)
-        self.res_basis = tower._subfield_residue_basis(i)
-        self.res_dim = len(self.res_basis)
-        self._res_mat = self._residue_coord_matrix()
-        self._frob_sub = self._frob_matrix_on_subfield()
-        self.eta_res = self._eta_res()
+        # the residue field of K_i: a residue in it has its coordinates on
+        # the RREF basis at the basis's pivot columns
+        self.res_field = tower._residue_field(i)
+        self.res_basis = self.res_field.basis.tolist()
+        frob = fl.matmul(tower._res_frobenius, self.res_field.basis.T, p)
+        self._frob_sub = frob[self.res_field.pivots]
+        self._crit_map = self._artin_schreier_map()
         # records: (reduced element, its inverse, filtration level, leading coords)
         self.unit_basis: list[tuple[LFElement, LFElement, int, Array]] = []
         self._build()
         self.basis_elements = [self.pi_i] + [b for b, _, _, _ in self.unit_basis]
         self.dim = len(self.basis_elements)
-        expected = self._expected_dim()
+        # dim_{F_p} K_i^x/K_i^xp = [K_i:Q_p] + 1 + [xi_p in K_i]
+        expected = tower.deg // p ** (tower.n - i) + 1 + tower.xi_in_F
         if self.dim != expected:
             raise AssertionError(
                 f"level {i}: computed {self.dim} classes, classical count is {expected}"
             )
 
-    def _residue_coord_matrix(self):
-        t = self.t
-        if t.kind == CYCLOTOMIC:
-            return None
-        cols = [np.array(b, dtype=np.int64) for b in self.res_basis]
-        return np.stack(cols, axis=1) % t.p
-
     def _res_coords(self, residue) -> Array:
-        t = self.t
-        if t.kind == CYCLOTOMIC:
-            return np.array([int(residue) % t.p], dtype=np.int64)
-        sol = fl.solve(self._res_mat, np.array(residue, dtype=np.int64) % t.p, t.p)
-        if sol is None:
+        gamma = np.array(residue, dtype=np.int64)
+        if self.res_field.dim == self.t.f:
+            return gamma  # all of F_p[x]/(r), whose RREF basis is the identity
+        if not self.res_field.contains(gamma):
             raise AssertionError("leading coefficient escaped the residue subfield")
-        return sol
+        return gamma[self.res_field.pivots]
 
     def _res_from_coords(self, coords) -> LFElement:
         t = self.t
-        if t.kind == CYCLOTOMIC:
-            return t.res_lift(int(coords[0]))
-        acc = [0] * t.deg
+        acc = [0] * t.f
         for c, b in zip(coords, self.res_basis):
             if int(c) % t.p:
                 for k, bv in enumerate(b):
                     acc[k] = (acc[k] + int(c) * bv) % t.p
         return t.res_lift(tuple(acc))
 
-    def _eta_res(self):
+    def _artin_schreier_map(self) -> Array | None:
+        """c -> c^p + eta*c on subfield coordinates, eta the residue of
+        p/pi_i^e_i; None without a critical level."""
         if self.crit is None:
             return None
         t = self.t
         unit = t.mul(t.from_int(t.p), t.powi(t.inv(self.pi_i), self.e_i))
         if unit.val != 0:
             raise AssertionError("p/pi_i^e_i is not a unit")
-        return t.residue(unit)
-
-    def _frob_matrix_on_subfield(self) -> Array:
-        t = self.t
-        p = t.p
-        if t.kind == CYCLOTOMIC:
-            return np.array([[1]], dtype=np.int64)  # c -> c^p = c on F_p
-        fbar = [c % p for c in t.fpoly]
-        cols = []
-        for b in self.res_basis:
-            img = _poly_powmod(list(b), p, fbar, p)
-            cols.append(self._res_coords(tuple(img + [0] * (t.deg - len(img)))))
-        return np.stack(cols, axis=1) % p
+        eta = list(t.residue(unit))
+        eta_b = np.array([_poly_mulmod(eta, b, t.r, t.p) for b in self.res_basis], dtype=np.int64)
+        return (self._frob_sub + eta_b.T[self.res_field.pivots]) % t.p
 
     def _free_map(self, j: int) -> Array | None:
         """F_p-matrix whose image is cancellable at level j by p-th powers."""
         p = self.t.p
         if self.crit is not None and j == self.crit:
-            # only cyclotomic levels have a critical level (p odd, e_i = 1
-            # has none), and there the residue field is F_p: c -> c + eta*c
-            return (self._frob_sub + self.eta_res) % p
+            return self._crit_map
         if j % p == 0 and (self.crit is None or j < self.crit):
             return self._frob_sub
         return None
@@ -1032,16 +1028,6 @@ class _LevelClasses:
                     lv, coords = lead
                     self.unit_basis.append((t._own(red), t._own(t.inv(red)), lv, coords))
 
-    def _expected_dim(self) -> int:
-        t = self.t
-        if t.kind == CYCLOTOMIC:
-            d_i = t.deg // t.level_rel_e[self.i]
-            zeta_in = 1
-        else:
-            d_i = t.p**self.i
-            zeta_in = 0
-        return d_i + 1 + zeta_in
-
     def class_of(self, x: LFElement) -> Array:
         t = self.t
         p = t.p
@@ -1064,8 +1050,9 @@ class _LevelClasses:
 # public constructors and datum extraction
 
 
-def make_tower(p: int, kind: str, n: int, precision: int) -> LocalTower:
-    """Build and validate a tower; rejects non-cyclic configurations."""
+def make_tower(p: int, kind: str, n: int, precision: int | None = None) -> LocalTower:
+    """Build and validate a tower; rejects non-cyclic configurations.
+    precision None means the tower's default, 4e + 24 pi-digits."""
     return LocalTower(p, kind, n, precision)
 
 
@@ -1102,8 +1089,7 @@ def _a_classes(tower: LocalTower) -> dict[int, Array]:
 
 def build_datum(tower: LocalTower) -> GaloisDatum:
     """Extract the full class-level datum from a tower."""
-    p, n = tower.p, tower.n
-    xi = tower.kind == CYCLOTOMIC
+    p, n, xi = tower.p, tower.n, tower.xi_in_F
     bases = [tower.class_basis(i) for i in range(n + 1)]
     a_cls = _a_classes(tower) if xi else {}
 

@@ -290,6 +290,23 @@ def test_synth_refuses_dim_above_bound(tmp_path, capsys, p, n):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("args, dim", [
+    (["--p", "2", "--kind", "cyclotomic", "--n", "40"], "> 2^40"),
+    (["--p", "3", "--kind", "cyclotomic", "--n", "7"], "= 4376"),
+    (["--p", "3", "--kind", "unramified", "--n", "7"], "= 2188"),
+    (["--p", "3", "--kind", "unramified", "--n", "1000000000"], "> 2^1000000000"),
+    (["--p", "3", "--kind", "cyclotomic", "--n", "1000000000", "--precision", "60"],
+     "> 2^1000000000"),
+])
+def test_local_refuses_dim_above_bound(tmp_path, capsys, args, dim):
+    # refused before the tower, its defining polynomial or p^n is built
+    rc = main(["local", *args, "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = one_line(capsys.readouterr().err)
+    assert err == f"cannot build tower: dim J {dim} exceeds the supported bound DIM_MAX = 1024\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_datum_json_with_p_above_bound_refused(tmp_path, capsys, no_prime_work):
     datum, dec = readme_example(tmp_path)
     obj = json.loads(read(datum))

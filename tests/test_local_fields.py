@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from galmod import local_fields as lf
+from galmod.cli import main
 from galmod.datum import datum_to_json, e_ranks, exceptional_search, i_via_theorem3, validate
 from galmod.decompose import all_clauses_pass, decompose, verify
 from galmod.local_fields import (
@@ -309,12 +310,11 @@ def test_poly_mulmod_matches_schoolbook(spec):
     rng = random.Random(repr(spec))
     d = tw.deg
     moduli = [(tw.fpoly, tw.modulus)]
-    if tw.kind == "cyclotomic":
-        # the widened moduli of _strip: p^(cp+k) for its products, and
-        # p^(cp+t) for the multiplier's powers
-        for widen in (1, 2, tw.e, 3 * tw.e + 1):
-            mod_hi = tw.modulus * tw.p**widen
-            moduli.append(([c % mod_hi for c in tw.minpoly], mod_hi))
+    # the widened moduli of _strip: p^(cp+k) for its products, and
+    # p^(cp+t) for the multiplier's powers
+    for widen in (1, 2, tw.e, 3 * tw.e + 1):
+        mod_hi = tw.modulus * tw.p**widen
+        moduli.append(([c % mod_hi for c in tw.minpoly], mod_hi))
     for f, m in moduli:
         ops = [op for _ in range(3) for op in _operands(rng, d, m)]
         for a in ops:
@@ -360,12 +360,14 @@ def strip_by_p_over_pi(tw, c, t):
     return [(x // p**t) % tw.modulus for x in acc]
 
 
-@pytest.mark.parametrize("spec", [s for s in BENCH_TOWERS if s[1] == "cyclotomic"],
-                         ids=lambda s: f"p{s[0]}n{s[2]}")
+@pytest.mark.parametrize(
+    "spec", BENCH_TOWERS,
+    ids=lambda s: f"{'' if s[1] == 'cyclotomic' else s[1]}p{s[0]}n{s[2]}",
+)
 def test_strip_matches_p_over_pi_formula(spec):
     tw = make_tower(*spec)
     rng = random.Random(repr(spec))
-    for t in (1, 2, tw.e - 1, tw.e, tw.e + 1, 2 * tw.e + 3, 5 * tw.e):
+    for t in [t for t in (1, 2, tw.e - 1, tw.e, tw.e + 1, 2 * tw.e + 3, 5 * tw.e) if t > 0]:
         for _ in range(4):
             y = [rng.randrange(tw.modulus) for _ in range(tw.deg)]
             y[0] = y[0] * tw.p + 1  # a unit, so c has valuation exactly t
@@ -422,17 +424,19 @@ def test_dropped_tower_is_freed_without_gc():
         gc.enable()
 
 
-@pytest.mark.parametrize("spec", [(3, "unramified", 1, 40), (5, "unramified", 1, 28)])
+@pytest.mark.parametrize(
+    "spec", [(3, "unramified", 1, 40), (5, "unramified", 1, 28), (5, "cyclotomic", 1, 104)]
+)
 def test_residue_inverse_matches_power_form(spec):
+    # the inverse in F_p[x]/(r) is u^(p^f - 2), lifted to a deg-long unit
     tw = make_tower(*spec)
     p, d = tw.p, tw.deg
-    fbar = [c % p for c in tw.fpoly]
     rng = random.Random(d)
     for _ in range(200):
         u = [rng.randrange(p) for _ in range(d)]
-        if not any(u):
+        if not any(u[: tw.f]):
             continue
-        power = lf._poly_powmod(u, p**d - 2, fbar, p)
+        power = lf._poly_powmod(u[: tw.f], p**tw.f - 2, tw.r, p)
         assert tw._residue_inverse(u) == power + [0] * (d - len(power))
         # lifted coefficients reduce to the same residue
         assert tw._residue_inverse([c + p * rng.randrange(5) for c in u]) == tw._residue_inverse(u)
@@ -528,6 +532,9 @@ LOCAL_DIGESTS = {
     (2, "cyclotomic", 2, 56): "b347b423824a931ffa686cca26d92c07d22be9555de885a3fe9cfba6671d8b4b",
     (3, "unramified", 1, 40): "66cf04bbc031ecf85269e331d9498f41c0d05bfb3853fbe0c20c11cff4af096d",
     (5, "unramified", 1, 28): "abf41393c8b6f2de58d2adc098b7e6f72281ddcce0df3e8dab64fd099238ee6e",
+    (3, "cyclotomic", 2, 100): "5b0b4ce25f4fea7a71d883600026aa8d16ac98ee9d1895af73fc8e33f2b25a04",
+    (5, "cyclotomic", 1, 104): "d5e36239c977cc4f45fc34da6c60b2f75d4debb31f0f5579898aef1f33d48b1a",
+    (2, "cyclotomic", 3, 88): "7752895f207a06bfe1d6c62f01a5c34d7beef1ba23abeff3e49c10c462c4bbd7",
 }
 
 
@@ -535,3 +542,11 @@ LOCAL_DIGESTS = {
 def test_local_datum_json_is_pinned(spec):
     text = json.dumps(datum_to_json(build_datum(make_tower(*spec))), indent=1) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_DIGESTS[spec]
+
+
+def test_cli_default_precision_matches_the_pin(tmp_path):
+    # no --precision: the tower's own default, 4e + 24 = 56 for e = 8
+    out = tmp_path / "d.json"
+    assert main(["local", "--p", "2", "--kind", "cyclotomic", "--n", "2", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == LOCAL_DIGESTS[(2, "cyclotomic", 2, 56)]
