@@ -5,17 +5,17 @@ with no p-th root of unity in the base; CYCLOTOMIC towers adjoin p-power
 roots of unity (for p = 2 the base is Q_2(i) and the generator acts by
 zeta -> zeta^5, the cyclic part of the 2-cyclotomic Galois group).
 
-A tower is described to the arithmetic by (e, f, r, pi): the
-ramification index e, the residue degree f = [K:Q_p]/e, the residue
-polynomial r over F_p, whose quotient F_p[x]/(r) is the residue field
-of K, and the uniformizer pi as a polynomial in the field generator x.
-Unramified towers have e = 1, r the defining polynomial mod p, and
-pi = p; cyclotomic towers use the Eisenstein power basis, where the
-generator is the uniformizer itself: f = 1, r = x and pi = x.  The
-constructor sets these from the kind; valuations, residues, Teichmuller
-lifts and the class walk read only them, so both families share one
-path.  The residue field of K_i is the subspace of F_p[x]/(r) fixed by
-Frobenius^(f_i), f_i its residue degree.
+Only the constructor reads the kind.  A kind supplies four things: the
+data (e, f, r, pi) -- the ramification index e, the residue degree
+f = [K:Q_p]/e, the residue polynomial r over F_p with residue field
+F_p[x]/(r), and the uniformizer pi as a polynomial in the generator x;
+sigma(x); the uniformizer and ramification index of each level K_i; and
+the distinguished root of unity zeta, or none.  Unramified towers have
+e = 1, r the defining polynomial mod p, pi = p, sigma the Frobenius and
+no zeta; cyclotomic towers use the Eisenstein power basis: f = 1, r = x,
+pi = x = zeta - 1.  Everything else reads only this data.  The residue
+field of K_i is the subspace of F_p[x]/(r) fixed by Frobenius^(f_i),
+f_i its residue degree.
 
 Elements live in the top field K in floating form pi^val * unit, the
 unit being a polynomial in x with coefficients modulo p^cp, together
@@ -74,6 +74,8 @@ from .fp_linalg import Array
 
 UNRAMIFIED = "unramified"
 CYCLOTOMIC = "cyclotomic"
+# the largest accepted precision, as a multiple of the default 4e + 24
+PRECISION_FACTOR = 8
 
 
 class PrecisionError(ArithmeticError):
@@ -162,15 +164,20 @@ def _poly_mulmod(a: list[int], b: list[int], f: list[int], m: int) -> list[int]:
 
 
 def _poly_powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
+    """a^e mod (f, m), e >= 0, as fl.mat_pow: the result starts at the
+    lowest set bit's power, and the top bit's power is not squared."""
     d = len(f) - 1
-    result = [1] + [0] * (d - 1)
-    base = list(a) + [0] * max(0, d - len(a))
-    while e:
+    if e == 0:
+        return [1] + [0] * (d - 1)
+    base = [c % m for c in a] + [0] * (d - len(a))
+    result = None
+    while True:
         if e & 1:
-            result = _poly_mulmod(result, base, f, m)
-        base = _poly_mulmod(base, base, f, m)
+            result = base if result is None else _poly_mulmod(result, base, f, m)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = _poly_mulmod(base, base, f, m)
 
 
 def _poly_add(a: list[int], b: list[int], m: int) -> list[int]:
@@ -327,21 +334,15 @@ class LocalTower:
 
     def __init__(self, p: int, kind: str, n: int, precision: int | None = None):
         """The tower of the given kind; precision None means 4e + 24
-        pi-digits.  The kind decides the arithmetic here and nowhere else
-        in the valuation, residue and class code: it fixes the degree, the
-        ramification index e, the residue degree f = deg/e, the residue
-        polynomial r with residue field F_p[x]/(r), and the uniformizer pi
-        as a polynomial in the generator x."""
+        pi-digits, and at most PRECISION_FACTOR times that is accepted.
+        This is the only code that reads the kind (see the module
+        docstring for what each kind supplies)."""
         fl.check_prime(p)
         kind = kind.lower()
         if kind not in (UNRAMIFIED, CYCLOTOMIC):
             raise ValueError(f"unknown tower kind {kind!r}")
         if n < 1:
             raise ValueError("tower height must be >= 1")
-        if kind == UNRAMIFIED and p == 2:
-            raise ValueError(
-                "unramified towers need p odd (xi_2 = -1 lies in every 2-adic field)"
-            )
         # dim J = [K:Q_p] + 1 + [xi_p in K] and [K:Q_p] >= p^n >= 2^n: a
         # height past log2 DIM_MAX is refused before p^n is formed
         if n >= fl.DIM_MAX.bit_length():
@@ -357,13 +358,30 @@ class LocalTower:
         else:
             # K = Q_2(zeta_{2^(n+2)}) over F = Q_2(i), else Q_p(zeta_{p^(n+1)})
             # over F = Q_p(zeta_p)
-            self.cyclo_power = n + 2 if p == 2 else n + 1
+            zeta_power = n + 2 if p == 2 else n + 1
             self.deg = self.e = 2 ** (n + 1) if p == 2 else p**n * (p - 1)
             self.xi_in_F = True
+        if p == 2 and not self.xi_in_F:
+            raise ValueError("unramified towers need p odd (xi_2 = -1 lies in every 2-adic field)")
         self.f = self.deg // self.e
         dim = self.deg + 1 + self.xi_in_F
         if dim > fl.DIM_MAX:
             raise ValueError(f"dim J = {dim} exceeds the supported bound DIM_MAX = {fl.DIM_MAX}")
+
+        # a conservative default well above the threshold m_min; the work
+        # grows with the modulus p^cp, cp ~ precision/e, so a precision
+        # above the bound is refused before any polynomial is sought
+        default = self.e * 3 + self.e + 24
+        precision = default if precision is None else precision
+        m_min, bound = self.e * math.ceil(p / (p - 1)) + self.e + 8, PRECISION_FACTOR * default
+        if precision < m_min:
+            raise PrecisionError(f"precision {precision} pi-digits below the threshold {m_min}")
+        if precision > bound:
+            raise PrecisionError(f"precision {precision} pi-digits above the bound {bound}")
+        self.pi_prec = precision
+        self.cp = math.ceil(precision / self.e) + (p * self.e) // (p - 1) // self.e + 10
+        self.modulus = p**self.cp
+        self.rel_cap = self.e * self.cp  # representable relative precision
 
         if kind == UNRAMIFIED:
             # pi = p, and x is a unit whose residue generates F_p[x]/(f mod p)
@@ -373,24 +391,11 @@ class LocalTower:
         else:
             # Eisenstein power basis: pi = x reduces to 0, residue field F_p;
             # pi * (x^(d-1) + a_{d-1} x^(d-2) + ... + a_1) = -p
-            self.minpoly = _cyclotomic_shifted(p, self.cyclo_power)
+            self.minpoly = _cyclotomic_shifted(p, zeta_power)
             assert self.minpoly[0] == p
             self.r = [0, 1]
             self._pi_poly, self._x_val = [0, 1], 1
             self._p_over_pi = [(-c) for c in self.minpoly[1:]]
-
-        if precision is None:
-            # conservative default well above the threshold m_min
-            precision = self.e * 3 + self.e + 24
-        m_min = self.e * math.ceil(p / (p - 1)) + self.e + 8
-        if precision < m_min:
-            raise PrecisionError(
-                f"precision {precision} pi-digits below the threshold {m_min}"
-            )
-        self.pi_prec = precision
-        self.cp = math.ceil(precision / self.e) + (p * self.e) // (p - 1) // self.e + 10
-        self.modulus = p**self.cp
-        self.rel_cap = self.e * self.cp  # representable relative precision
 
         self.fpoly = [c % self.modulus for c in self.minpoly]
         # per-tower powers of the uniformizer: t -> (modulus * p^k, f mod
@@ -401,14 +406,29 @@ class LocalTower:
 
         self._unit_one = (1,) + (0,) * (self.deg - 1)
         # Elements the tower keeps (sigma's uniformizer units, the level
-        # uniformizers, the class bases) refer back to it through this
-        # weak proxy, so the tower is in no reference cycle: once its
+        # uniformizers, zeta, the class bases) refer back to it through
+        # this weak proxy, so the tower is in no reference cycle: once its
         # caller drops it, it is freed at once, not at the next full
         # garbage collection.
         self._ref = weakref.proxy(self)
 
-        self._galois_setup()
-        self._level_setup()
+        if kind == UNRAMIFIED:
+            # sigma is the Frobenius, and p is the uniformizer of every level
+            gen_image, self._zeta = self._frobenius_root(), None
+            uniformizers, level_e = [self.from_int(p)] * (n + 1), [1] * (n + 1)
+        else:
+            # zeta = 1 + pi, of order p^zeta_power, goes to zeta^u, so pi goes
+            # to zeta^u - 1; K_i has the uniformizer zeta^(p^(n-i)) - 1
+            gen_image = _poly_powmod([1, 1], 5 if p == 2 else 1 + p, self.fpoly, self.modulus)
+            gen_image[0] = (gen_image[0] - 1) % self.modulus
+            zeta = self._own(self.add(self.one, self.pi))
+            self._zeta = (zeta, p**zeta_power)
+            rels = [p ** (n - i) for i in range(n + 1)]
+            uniformizers = [self.add(self.powi(zeta, rel), self.neg(self.one)) for rel in rels]
+            level_e = [self.e // rel for rel in rels]
+
+        self._galois_setup(gen_image)
+        self._level_setup(uniformizers, level_e)
         # the matrix of c -> c^p on F_p[x]/(r), column j the image of x^j
         frob_cols = [_poly_powmod([0] * j + [1], p, self.r, p) for j in range(self.f)]
         self._res_frobenius = np.array(frob_cols, dtype=np.int64).T
@@ -449,16 +469,16 @@ class LocalTower:
         return self.from_poly([c])
 
     def zeta(self, k: int = 1) -> LFElement:
-        """zeta^k for the cyclotomic generator zeta = 1 + pi."""
-        if self.kind != CYCLOTOMIC:
+        """zeta^k for the tower's distinguished root of unity zeta."""
+        if self._zeta is None:
             raise ValueError("no distinguished root of unity in this tower")
-        return self.powi(self.add(self.one, self.pi), k)
+        return self.powi(self._zeta[0], k)
 
     def zeta_p(self) -> LFElement:
-        """A primitive p-th root of unity (cyclotomic towers)."""
-        if self.kind != CYCLOTOMIC:
+        """A primitive p-th root of unity, a power of zeta."""
+        if self._zeta is None:
             raise ValueError("xi_p is not in an unramified tower (p odd)")
-        return self.zeta(self.p ** (self.cyclo_power - 1))
+        return self.zeta(self._zeta[1] // self.p)
 
     # -- valuation machinery ---------------------------------------------------
 
@@ -624,14 +644,9 @@ class LocalTower:
 
     # -- Galois action --------------------------------------------------------
 
-    def _galois_setup(self):
+    def _galois_setup(self, gen_image: list[int]):
+        """Store sigma^k, k < p^n, for sigma(x) = gen_image; check its order."""
         p, d, mod = self.p, self.deg, self.modulus
-        if self.kind == CYCLOTOMIC:
-            # zeta -> zeta^u, so the generator pi = zeta - 1 goes to zeta^u - 1
-            gen_image = _poly_powmod([1, 1], 5 if p == 2 else 1 + p, self.fpoly, mod)
-            gen_image[0] = (gen_image[0] - 1) % mod
-        else:
-            gen_image = self._frobenius_root()
         width, _, slots = _reduction_table(self.fpoly, mod)
         self._col_layout = (width, slots[:d])
 
@@ -645,7 +660,10 @@ class LocalTower:
             self._sigma_cols.append([_pack(c, mod, width) for c in powers])
             images.append(self._compose(images[k], self._sigma_cols[1]))
 
-        if self.kind == CYCLOTOMIC:
+        # the units sigma^k(pi)/pi: when pi = x they are g_k/x; pi = p is
+        # fixed by sigma, and galois then has nothing to multiply by
+        self._sigma_pi_units = None
+        if self._x_val:
             units = [self.from_poly(g) for g in images[:order]]
             if any(u.val != 1 for u in units):
                 raise ValueError("generator image is not a uniformizer")
@@ -705,7 +723,7 @@ class LocalTower:
         if k == 0 or x.is_zero:
             return x
         img = LFElement(self, x.val, tuple(self._compose(x.unit, self._sigma_cols[k])), x.aprec)
-        if self.kind == UNRAMIFIED:
+        if self._sigma_pi_units is None:
             return img
         return self.mul(img, self.powi(self._sigma_pi_units[k], x.val))
 
@@ -723,28 +741,21 @@ class LocalTower:
 
     # -- tower levels -------------------------------------------------------------
 
-    def _level_setup(self):
-        p, n = self.p, self.n
-        self.level_uniformizer: list[LFElement] = []
-        self.level_e: list[int] = []      # absolute ramification of K_i
-        self.level_rel_e: list[int] = []  # e(K / K_i)
-        for i in range(n + 1):
-            if self.kind == UNRAMIFIED:
-                self.level_uniformizer.append(self._own(self.from_int(p)))
-                self.level_e.append(1)
-                self.level_rel_e.append(1)
-            else:
-                rel = p ** (n - i)
-                pi_i = self.add(self.zeta(rel), self.neg(self.one))
-                if pi_i.val != rel:
-                    raise ValueError("level uniformizer has unexpected valuation")
-                if not self.eq(self.galois(pi_i, p**i), pi_i):
-                    raise ValueError(f"sigma^(p^{i}) does not fix level {i}")
-                if i >= 1 and self.eq(self.galois(pi_i, p ** (i - 1)), pi_i):
-                    raise ValueError(f"level {i} fixed too early: non-cyclic tower")
-                self.level_uniformizer.append(self._own(pi_i))
-                self.level_e.append(self.e // rel)
-                self.level_rel_e.append(rel)
+    def _level_setup(self, uniformizers: list[LFElement], level_e: list[int]):
+        """Check and keep the uniformizer of each level K_i, whose absolute
+        ramification index is level_e[i]."""
+        p = self.p
+        self.level_e = level_e  # absolute ramification of K_i
+        self.level_rel_e = [self.e // e_i for e_i in level_e]  # e(K / K_i)
+        for i, pi_i in enumerate(uniformizers):
+            if pi_i.val != self.level_rel_e[i]:
+                raise ValueError("level uniformizer has unexpected valuation")
+            if not self.eq(self.galois(pi_i, p**i), pi_i):
+                raise ValueError(f"sigma^(p^{i}) does not fix level {i}")
+            # a ramified step K_i/K_(i-1) moves its uniformizer
+            if i and level_e[i] > level_e[i - 1] and self.eq(self.galois(pi_i, p ** (i - 1)), pi_i):
+                raise ValueError(f"level {i} fixed too early: non-cyclic tower")
+        self.level_uniformizer = [self._own(pi_i) for pi_i in uniformizers]
 
     # -- residue machinery -----------------------------------------------------------
 
@@ -762,18 +773,12 @@ class LocalTower:
                 raise AssertionError("residue subfield has wrong dimension")
         return sub
 
-    def res_lift(self, residue) -> LFElement:
-        """Any integral lift with the given residue (not Teichmuller)."""
-        if all(v % self.p == 0 for v in residue):
-            return self.zero
-        return self.from_poly(list(residue))
-
     def teichmuller(self, residue) -> LFElement:
-        """The Teichmuller lift of a nonzero residue: the root of
-        X^(q-1) = 1 reducing to it, q = p^f."""
+        """The Teichmuller lift of a residue, the root of X^q = X reducing to
+        it (q = p^f); it lies in K_i when the residue is one of K_i."""
         p = self.p
         if all(v % p == 0 for v in residue):
-            raise ValueError("zero residue")
+            return self.zero
         if self.f == 1:
             # Newton's iteration on the integer lift: cheaper than the
             # tower's own for a residue in F_p
@@ -787,7 +792,7 @@ class LocalTower:
                 den = (p - 1) * pow(x, p - 2, mod) % mod
                 x = (x - num * pow(den, -1, mod)) % mod
             return self.from_int(x)
-        x = self.res_lift(residue)
+        x = self.from_poly(list(residue))
         q = p**self.f
         for _ in range(max(3, math.ceil(math.log2(self.cp * self.e)) + 3)):
             xq = self.powi(x, q)
@@ -925,7 +930,7 @@ class _LevelClasses:
             if int(c) % t.p:
                 for k, bv in enumerate(b):
                     acc[k] = (acc[k] + int(c) * bv) % t.p
-        return t.res_lift(tuple(acc))
+        return t.teichmuller(acc)
 
     def _artin_schreier_map(self) -> Array | None:
         """c -> c^p + eta*c on subfield coordinates, eta the residue of
@@ -1021,7 +1026,7 @@ class _LevelClasses:
         t = self.t
         for j in range(1, self.jstar + 1):
             for res in self.res_basis:
-                lift = t.res_lift(res)
+                lift = t.teichmuller(res)
                 cand = t.add(t.one, t.mul(lift, t.powi(self.pi_i, j)))
                 _, red, lead = self._reduce(cand)
                 if lead is not None:
@@ -1057,14 +1062,14 @@ def make_tower(p: int, kind: str, n: int, precision: int | None = None) -> Local
 
 
 def kummer_generators(tower: LocalTower) -> list[LFElement]:
-    """The norm-coherent chain (a_{n-1}, ..., a_0); cyclotomic towers only.
+    """The norm-coherent chain (a_{n-1}, ..., a_0); towers with xi_p in F only.
 
     a_{n-1} is the Kummer generator of the top step (zeta^p, whose p-th
     root generates K over K_{n-1}); the rest are successive norms down
     the tower.  Each step is checked at the class level: a_i is not a
     p-th power in its own field, and it becomes one a level up.
     """
-    if tower.kind != CYCLOTOMIC:
+    if not tower.xi_in_F:
         raise ValueError("Kummer generators require xi_p in the base")
     n = tower.n
     chain = [tower.zeta(tower.p)]

@@ -134,18 +134,22 @@ def test_criterion_5_corollary3(sweep_result, cyclo2_tower, cyclo2_datum, cyclo1
 
 
 def test_criterion_6a_unramified_instance(unram_datum):
-    d = unram_datum
-    assert validate(d) == []
-    assert d.J.dim == 4
-    assert d.J.dim == d.levels[1].space.dim
-    assert e_ranks(d) == [1, 1]
-    dec = decompose(d)
-    assert dec.m is None
-    assert dec.block_multiset() == [3, 1]
-    assert all_clauses_pass(verify(dec, d))
-    # classical dimension formula: [K:Q_p] + 1 + (zeta_p present)
-    assert d.J.dim == 3 + 1 + 0
-    print("PASS criterion 6a: unramified degree-3 tower, dim J = 4, blocks {3,1}")
+    cases = [
+        (unram_datum, [1, 1], [3, 1]),
+        (build_datum(make_tower(3, "unramified", 2, 28)), [1, 0, 1], [9, 1]),
+    ]
+    for d, ranks, blocks in cases:
+        assert validate(d) == []
+        # classical dimension formula: [K:Q_p] + 1 + (zeta_p present)
+        assert d.J.dim == 3**d.n + 1 + 0
+        assert d.J.dim == d.levels[d.n].space.dim
+        assert e_ranks(d) == ranks
+        dec = decompose(d)
+        assert dec.m is None
+        assert dec.block_multiset() == blocks
+        assert all_clauses_pass(verify(dec, d))
+    print("PASS criterion 6a: unramified towers of degree 3 and 9, dim J = 4 and 10, "
+          "blocks {3,1} and {9,1}")
 
 
 def test_criterion_6b_cyclotomic_instance(cyclo1_datum):
@@ -167,6 +171,7 @@ def test_criterion_6b_cyclotomic_instance(cyclo1_datum):
 def test_criterion_6c_precision_stability(cyclo1_datum):
     pairs = [
         (("unramified", 1, 40), ("unramified", 1, 45)),
+        (("unramified", 2, 28), ("unramified", 2, 33)),
         (("cyclotomic", 1, 60), ("cyclotomic", 1, 65)),
     ]
     for base_spec, high_spec in pairs:

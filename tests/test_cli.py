@@ -307,6 +307,32 @@ def test_local_refuses_dim_above_bound(tmp_path, capsys, args, dim):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("kind, n, bound", [("unramified", 1, 224), ("cyclotomic", 1, 384)])
+def test_local_refuses_precision_above_bound(tmp_path, capsys, monkeypatch, kind, n, bound):
+    # 8 x the default 4e + 24 is accepted; above it, the tower is refused
+    # before a defining polynomial is sought
+    import galmod.local_fields as lf
+
+    rc = main(["local", "--p", "3", "--kind", kind, "--n", str(n),
+               "--precision", str(bound), "--out", str(tmp_path / "ok.json")])
+    assert rc == 0
+    capsys.readouterr()
+
+    def unreachable(*args):
+        raise AssertionError("a defining polynomial was sought")
+
+    monkeypatch.setattr(lf, "_find_unramified_poly", unreachable)
+    monkeypatch.setattr(lf, "_cyclotomic_shifted", unreachable)
+    for precision in (bound + 1, 1000000000):
+        rc = main(["local", "--p", "3", "--kind", kind, "--n", str(n),
+                   "--precision", str(precision), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = one_line(capsys.readouterr().err)
+        assert err == (f"cannot build tower: precision {precision} pi-digits above "
+                       f"the bound {bound}\n")
+        assert not (tmp_path / "x.json").exists()
+
+
 def test_datum_json_with_p_above_bound_refused(tmp_path, capsys, no_prime_work):
     datum, dec = readme_example(tmp_path)
     obj = json.loads(read(datum))

@@ -1,5 +1,6 @@
 """p-adic towers: arithmetic, Galois action, class spaces, datum extraction."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -109,7 +110,7 @@ def _seeded_unit(tw, rng):
 @pytest.mark.parametrize(
     "spec",
     [(2, "cyclotomic", 2, 56), (3, "cyclotomic", 1, 60), (3, "unramified", 1, 40),
-     (5, "unramified", 1, 28)],
+     (5, "unramified", 1, 28), (3, "unramified", 2, 28)],
     ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
 )
 def test_pth_root_agrees_with_class_of(spec):
@@ -134,6 +135,12 @@ def test_pth_root_agrees_with_class_of(spec):
             with pytest.raises(NotPthPower):
                 tw.pth_root(z)
             assert not tw.is_pth_power(z)
+
+
+def test_no_root_of_unity_in_an_unramified_tower(unram3):
+    for call in (unram3.zeta, unram3.zeta_p, lambda: kummer_generators(unram3)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_unramified_datum(unram3):
@@ -244,17 +251,27 @@ CLOSED_FORM_DIMS = {
     (3, "cyclotomic", 1, 60): 8,
     (2, "cyclotomic", 2, 56): 10,
     (5, "cyclotomic", 1, 104): 22,
+    (3, "unramified", 2, 28): 10,
+    (5, "unramified", 2, 28): 26,
 }
+
+
+@functools.cache
+def tower_datum(spec):
+    """(tower, datum) of a spec, built once: the closed-form and pinned
+    tests share them (the unramified p = 5, n = 2 datum takes seconds)."""
+    tw = make_tower(*spec)
+    return tw, build_datum(tw)
 
 
 @pytest.mark.parametrize("spec", list(CLOSED_FORM_DIMS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_class_space_dimension_matches_the_closed_form(spec):
     p, kind = spec[:2]
-    tw = make_tower(*spec)
+    tw, d = tower_datum(spec)
     # cyclotomic towers contain zeta_p; unramified ones only for p = 2,
     # where zeta_2 = -1
     zeta_p_in_k = kind == "cyclotomic" or p == 2
-    dim = build_datum(tw).J.dim
+    dim = d.J.dim
     assert dim == tw.deg + 1 + zeta_p_in_k == CLOSED_FORM_DIMS[spec]
 
 
@@ -346,6 +363,27 @@ def schoolbook_powmod(a, e, f, m):
         base = schoolbook_mulmod(base, base, f, m)
         e >>= 1
     return result
+
+
+@pytest.mark.parametrize("spec", [(3, "cyclotomic", 2, 100), (5, "unramified", 1, 28)])
+def test_poly_powmod_matches_the_square_and_multiply_loop(spec, monkeypatch):
+    # the loop with its idle first product and last squaring, as the
+    # reference; bitlength(e) + popcount(e) - 2 products are enough
+    tw = make_tower(*spec)
+    rng = random.Random(repr(spec))
+    wide = tw.modulus * tw.p ** (2 * tw.e + 3)  # a widened modulus of _strip
+    moduli = [(tw.fpoly, tw.modulus), (tw.r, tw.p), ([x % wide for x in tw.minpoly], wide)]
+    products = []
+    mulmod = lf._poly_mulmod
+    monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    for f, m in moduli:
+        d = len(f) - 1
+        for a in ([rng.randrange(m) for _ in range(d)],
+                  [rng.randrange(-3 * m, 3 * m) for _ in range(rng.randint(1, d))]):
+            for e in range(41):
+                products.clear()
+                assert lf._poly_powmod(a, e, f, m) == schoolbook_powmod(a, e, f, m)
+                assert len(products) == max(0, e.bit_length() + bin(e).count("1") - 2)
 
 
 def strip_by_p_over_pi(tw, c, t):
@@ -535,12 +573,14 @@ LOCAL_DIGESTS = {
     (3, "cyclotomic", 2, 100): "5b0b4ce25f4fea7a71d883600026aa8d16ac98ee9d1895af73fc8e33f2b25a04",
     (5, "cyclotomic", 1, 104): "d5e36239c977cc4f45fc34da6c60b2f75d4debb31f0f5579898aef1f33d48b1a",
     (2, "cyclotomic", 3, 88): "7752895f207a06bfe1d6c62f01a5c34d7beef1ba23abeff3e49c10c462c4bbd7",
+    (3, "unramified", 2, 28): "36ed02d411fc2bac23c6d8afe98042b0621b8bfd97e81d07c6f75a10702c009b",
+    (5, "unramified", 2, 28): "298d33d86a8d5ee575fea7aa3a852cb2ed1c1eb1161d3a2f5d60e1b8acfd91f1",
 }
 
 
 @pytest.mark.parametrize("spec", list(LOCAL_DIGESTS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_local_datum_json_is_pinned(spec):
-    text = json.dumps(datum_to_json(build_datum(make_tower(*spec))), indent=1) + "\n"
+    text = json.dumps(datum_to_json(tower_datum(spec)[1]), indent=1) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_DIGESTS[spec]
 
 
