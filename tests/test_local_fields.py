@@ -365,7 +365,10 @@ def schoolbook_powmod(a, e, f, m):
     return result
 
 
-@pytest.mark.parametrize("spec", [(3, "cyclotomic", 2, 100), (5, "unramified", 1, 28)])
+@pytest.mark.parametrize(
+    "spec", [(3, "cyclotomic", 2, 100), (5, "unramified", 1, 28)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
 def test_poly_powmod_matches_the_square_and_multiply_loop(spec, monkeypatch):
     # the loop with its idle first product and last squaring, as the
     # reference; bitlength(e) + popcount(e) - 2 products are enough
