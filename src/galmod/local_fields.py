@@ -33,9 +33,14 @@ back with packed rows of x^k mod f, cached per (f, modulus) for the
 few most recently used moduli.  Each tower caches the uniformizer
 powers its valuation machinery reuses: the multiplier p^k / pi^t,
 k = ceil(t/e), that ``_strip`` divides by pi^t with, and pi^delta for
-``_shift``.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops
-once uv = 1, where further rounds leave v unchanged.  All of this is
-exact: results are the same residues the schoolbook product gives.
+``_shift``.  The multiplier is 1 when pi = p; when pi = x, pi^e = p*u
+for the unit u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the Eisenstein
+polynomial, and it is x^s * u^-k, s = ke - t, from powers of u^-1 kept
+per tower.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops
+once uv = 1, where further rounds leave v unchanged.  ``powi`` squares
+and multiplies as ``_poly_powmod`` does, with no product by one and no
+square after the top bit.  All of this is exact: results are the same
+residues the schoolbook product gives.
 Elements a tower keeps for itself refer back to it weakly, so a tower
 is freed as soon as its last user drops it.
 
@@ -178,6 +183,23 @@ def _poly_powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
         if not e:
             return result
         base = _poly_mulmod(base, base, f, m)
+
+
+def _poly_invmod(a: list[int], v: list[int], f: list[int], m: int, digits: int) -> list[int]:
+    """a^-1 mod (f, m) by Newton's iteration v -> v(2 - av), from v a lift
+    of the inverse of a's residue.  Each round doubles the pi-adic
+    valuation of 1 - av, so ceil(log2(digits)) + 2 rounds reach the
+    digits pi-digits of m; it stops once av = 1, where further rounds
+    leave v unchanged."""
+    one = [1] + [0] * (len(f) - 2)
+    for _ in range(max(3, math.ceil(math.log2(digits)) + 2)):
+        av = _poly_mulmod(a, v, f, m)
+        if av == one:
+            break
+        two_minus = [(-c) % m for c in av]
+        two_minus[0] = (two_minus[0] + 2) % m
+        v = _poly_mulmod(v, two_minus, f, m)
+    return v
 
 
 def _poly_add(a: list[int], b: list[int], m: int) -> list[int]:
@@ -387,21 +409,22 @@ class LocalTower:
             # pi = p, and x is a unit whose residue generates F_p[x]/(f mod p)
             self.minpoly = _find_unramified_poly(p, self.deg)
             self.r = [c % p for c in self.minpoly]
-            self._pi_poly, self._x_val, self._p_over_pi = [p], 0, [1]
+            self._pi_poly, self._x_val, self._pi_unit = [p], 0, None
         else:
             # Eisenstein power basis: pi = x reduces to 0, residue field F_p;
-            # pi * (x^(d-1) + a_{d-1} x^(d-2) + ... + a_1) = -p
+            # pi^e = x^d = -(a_0 + ... + a_{d-1} x^(d-1)) = p*u, u a unit
             self.minpoly = _cyclotomic_shifted(p, zeta_power)
-            assert self.minpoly[0] == p
+            assert all(c % p == 0 for c in self.minpoly[:-1]) and self.minpoly[0] % p**2
             self.r = [0, 1]
             self._pi_poly, self._x_val = [0, 1], 1
-            self._p_over_pi = [(-c) for c in self.minpoly[1:]]
+            self._pi_unit = [(-c) // p for c in self.minpoly[:-1]]
 
         self.fpoly = [c % self.modulus for c in self.minpoly]
         # per-tower powers of the uniformizer: t -> (modulus * p^k, f mod
-        # that, p^k / pi^t mod both, p^k) for _strip; delta -> pi^delta for
-        # _shift
+        # that, p^k / pi^t mod both, p^k) for _strip, built from u^-k mod
+        # p^(2cp) (index k); delta -> pi^delta for _shift
         self._strip_tables: dict[int, tuple] = {}
+        self._unit_inv_powers: list[list[int] | None] = []
         self._shift_powers: dict[int, list[int]] = {}
 
         self._unit_one = (1,) + (0,) * (self.deg - 1)
@@ -502,28 +525,49 @@ class LocalTower:
 
         Multiplies by q = p^k / pi^t, integral for k = ceil(t/e), modulo
         the enlarged modulus p^(cp+k), so the quotient c*q / p^k keeps cp
-        digits.  That quotient is the same as c * (p/pi)^t / p^t taken
-        modulo p^(cp+t): both are c / pi^t mod p^cp.  When pi = p, q = 1.
+        digits.  When pi = p, q = 1.
         """
         if t == 0:
             return list(c)
-        p = self.p
         table = self._strip_tables.get(t)
         if table is None:
-            k = -(-t // self.e)
-            # (p/pi)^t mod p^(cp+t) is p^(t-k) * q mod p^(cp+t)
-            wide = self.modulus * p**t
-            q_wide = _poly_powmod(
-                [x % wide for x in self._p_over_pi], t, [x % wide for x in self.minpoly], wide
-            )
-            mod_k = self.modulus * p**k
-            q = _poly_trim([x // p ** (t - k) for x in q_wide])
-            table = self._strip_tables[t] = (mod_k, [x % mod_k for x in self.minpoly], q, p**k)
+            table = self._strip_tables[t] = self._strip_table(t)
         mod_k, fk, q, pk = table
         acc = _poly_mulmod(c, q, fk, mod_k)
         if any(x % pk for x in acc):
             raise PrecisionError("strip below the honest valuation")
         return [(x // pk) % self.modulus for x in acc]
+
+    def _strip_table(self, t: int) -> tuple:
+        """(p^(cp+k), f mod that, q = p^k / pi^t mod both, p^k), k = ceil(t/e).
+
+        When pi = x, pi^e = p*u, so q = x^s * u^-k for s = ke - t: one
+        product, and one more for each new power u^-k, taken from u^-1
+        modulo p^(2cp).  That covers every k <= cp, and a nonzero
+        polynomial mod p^cp has valuation below e*cp, so a larger k is
+        refused."""
+        p, e = self.p, self.e
+        k = -(-t // e)
+        if k > self.cp:
+            raise PrecisionError("strip below the honest valuation")
+        pk = p**k
+        mod_k = self.modulus * pk
+        fk = [x % mod_k for x in self.minpoly]
+        if self._pi_unit is None:
+            return mod_k, fk, [1], pk
+        wide = self.modulus**2
+        fw = [x % wide for x in self.minpoly]
+        powers = self._unit_inv_powers
+        if not powers:
+            u = [x % wide for x in self._pi_unit]
+            powers += [None, _poly_invmod(u, self._residue_inverse(u), fw, wide, 2 * self.rel_cap)]
+        while len(powers) <= k:
+            powers.append(_poly_mulmod(powers[-1], powers[1], fw, wide))
+        q = [x % mod_k for x in powers[k]]
+        s = k * e - t
+        if s:
+            q = _poly_mulmod([0] * s + [1], q, fk, mod_k)
+        return mod_k, fk, _poly_trim(q), pk
 
     def _shift(self, c: list[int], delta: int) -> list[int]:
         """Multiply a polynomial by pi^delta (delta >= 0)."""
@@ -598,15 +642,7 @@ class LocalTower:
         if x.is_zero:
             raise ZeroDivisionError("division by zero")
         u = list(x.unit)
-        v = self._residue_inverse(u)
-        one = self._unit_one
-        for _ in range(max(3, math.ceil(math.log2(self.cp * self.e)) + 2)):
-            uv = _poly_mulmod(u, v, self.fpoly, self.modulus)
-            if tuple(uv) == one:
-                break  # converged: further rounds multiply v by 1
-            two_minus = [(-c) % self.modulus for c in uv]
-            two_minus[0] = (two_minus[0] + 2) % self.modulus
-            v = _poly_mulmod(v, two_minus, self.fpoly, self.modulus)
+        v = _poly_invmod(u, self._residue_inverse(u), self.fpoly, self.modulus, self.rel_cap)
         rel = None if x.aprec is None else x.aprec - x.val
         a = None if rel is None else -x.val + rel
         a = _amin(a, -x.val + self.rel_cap)
@@ -617,16 +653,20 @@ class LocalTower:
         return _gf_poly_inverse(u[: self.f], self.r, self.p) + [0] * (self.deg - self.f)
 
     def powi(self, x: LFElement, e: int) -> LFElement:
+        """x^e, as _poly_powmod: popcount(e) + bitlength(e) - 2 products
+        for e >= 1, and x itself for e = 1."""
         if e < 0:
             return self.powi(self.inv(x), -e)
-        result = self.one
-        base = x
-        while e:
+        if e == 0:
+            return self.one
+        result = None
+        while True:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = x if result is None else self.mul(result, x)
             e >>= 1
-        return result
+            if not e:
+                return result
+            x = self.mul(x, x)
 
     def eq(self, x: LFElement, y: LFElement) -> bool:
         """Equality of values to the available precision."""
@@ -795,13 +835,11 @@ class LocalTower:
         x = self.from_poly(list(residue))
         q = p**self.f
         for _ in range(max(3, math.ceil(math.log2(self.cp * self.e)) + 3)):
-            xq = self.powi(x, q)
-            num = self.add(xq, self.neg(x))
+            xq1 = self.powi(x, q - 1)
+            num = self.add(self.mul(x, xq1), self.neg(x))
             if num.is_zero:
                 break
-            den = self.add(
-                self.mul(self.from_int(q), self.powi(x, q - 1)), self.neg(self.one)
-            )
+            den = self.add(self.mul(self.from_int(q), xq1), self.neg(self.one))
             x = self.add(x, self.neg(self.mul(num, self.inv(den))))
         return x
 
@@ -894,6 +932,7 @@ class _LevelClasses:
         p = tower.p
         self.e_i = tower.level_e[i]
         self.pi_i = tower.level_uniformizer[i]
+        self.pi_i_inv = tower._own(tower.inv(self.pi_i))
         self.crit = p * self.e_i // (p - 1) if (p * self.e_i) % (p - 1) == 0 else None
         self.jstar = (p * self.e_i) // (p - 1)
         # the residue field of K_i: a residue in it has its coordinates on
@@ -938,7 +977,7 @@ class _LevelClasses:
         if self.crit is None:
             return None
         t = self.t
-        unit = t.mul(t.from_int(t.p), t.powi(t.inv(self.pi_i), self.e_i))
+        unit = t.mul(t.from_int(t.p), t.powi(self.pi_i_inv, self.e_i))
         if unit.val != 0:
             raise AssertionError("p/pi_i^e_i is not a unit")
         eta = list(t.residue(unit))
@@ -1039,10 +1078,11 @@ class _LevelClasses:
         if x.is_zero:
             raise ValueError("zero has no class")
         v = t.level_val(self.i, x)
-        unit = t.mul(x, t.powi(t.inv(self.pi_i), v))
-        tpart = t.teichmuller(t.residue(unit))
-        one_unit = t.mul(unit, t.inv(tpart))
-        coords, _, lead = self._reduce(one_unit)
+        unit = t.mul(x, t.powi(self.pi_i_inv, v)) if v else x
+        res = t.residue(unit)
+        if res != t._unit_one[: t.f]:
+            unit = t.mul(unit, t.inv(t.teichmuller(res)))
+        coords, _, lead = self._reduce(unit)
         if lead is not None:
             raise AssertionError("element escaped the computed class basis")
         out = np.zeros(self.dim, dtype=np.int64)

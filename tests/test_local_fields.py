@@ -90,6 +90,65 @@ def test_class_of_pth_powers_is_zero(unram3):
     assert np.array_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize(
+    "spec", [(3, "unramified", 1, 40), (3, "cyclotomic", 2, 100)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_class_of_shifts_and_lifts_the_residue(spec):
+    # elements off the valuation-0, residue-1 path: class_of shifts by
+    # pi_i^-v and divides by the Teichmuller lift of the residue
+    tw = tower_datum(spec)[0]
+    p = tw.p
+    for i, pi_i in enumerate(tw.level_uniformizer):
+        x = tw.mul(tw.from_int(2), tw.powi(pi_i, 2))
+        y = tw.neg(tw.inv(pi_i))
+        elements = [x, y]
+        if i == tw.n and tw.f > 1:
+            elements.append(tw.mul(tw.from_poly([1, 1]), pi_i))  # residue outside F_p
+        for a in elements:
+            assert tw.residue(tw.mul(a, tw.powi(pi_i, -tw.level_val(i, a)))) != (1,) + (0,) * (tw.f - 1)
+            assert not np.any(tw.class_of(i, tw.powi(a, p)))
+            for b in elements:
+                lhs = tw.class_of(i, tw.mul(a, b))
+                rhs = (tw.class_of(i, a) + tw.class_of(i, b)) % p
+                assert np.array_equal(lhs, rhs)
+        assert tw.class_of(i, x)[0] == 2 and tw.class_of(i, y)[0] == p - 1
+
+
+def powi_by_the_old_loop(tw, x, e):
+    """x^e by the loop with the idle first product and last squaring."""
+    if e < 0:
+        return powi_by_the_old_loop(tw, tw.inv(x), -e)
+    result, base = tw.one, x
+    while e:
+        if e & 1:
+            result = tw.mul(result, base)
+        base = tw.mul(base, base)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "spec", [(3, "cyclotomic", 2, 100), (5, "unramified", 1, 28)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_powi_matches_the_square_and_multiply_loop(spec, monkeypatch):
+    tw = make_tower(*spec)
+    rng = random.Random(repr(spec))
+    elements = [tw.mul(_seeded_unit(tw, rng), tw.powi(tw.pi, s)) for s in (0, 1, -2)]
+    products = []
+    mulmod = lf._poly_mulmod
+    monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    for x in elements:
+        for e in range(-2, 41):
+            want = powi_by_the_old_loop(tw, x, e)
+            products.clear()
+            got = tw.powi(x, e)
+            assert (got.val, got.unit) == (want.val, want.unit)
+            if e >= 0:
+                assert len(products) == max(0, e.bit_length() + bin(e).count("1") - 2)
+
+
 def test_is_pth_power_crosschecks_class(unram3):
     tw = unram3
     v = tw.from_poly([1, 1, 2])
@@ -253,6 +312,7 @@ CLOSED_FORM_DIMS = {
     (5, "cyclotomic", 1, 104): 22,
     (3, "unramified", 2, 28): 10,
     (5, "unramified", 2, 28): 26,
+    (7, "cyclotomic", 1, 192): 44,
 }
 
 
@@ -389,12 +449,18 @@ def test_poly_powmod_matches_the_square_and_multiply_loop(spec, monkeypatch):
                 assert len(products) == max(0, e.bit_length() + bin(e).count("1") - 2)
 
 
+def p_over_pi(tw):
+    """p/pi in the power basis: 1 when pi = p; when pi = x, the Eisenstein
+    polynomial with a_0 = p gives p = -x(a_1 + a_2 x + ... + x^(d-1))."""
+    return [1] if tw.kind == "unramified" else [-c for c in tw.minpoly[1:]]
+
+
 def strip_by_p_over_pi(tw, c, t):
     """c / pi^t as c * (p/pi)^t / p^t modulo p^(cp+t), or None when
     pi^t does not divide c."""
     p, wide = tw.p, tw.modulus * tw.p**t
     f = [x % wide for x in tw.minpoly]
-    q = schoolbook_powmod([x % wide for x in tw._p_over_pi], t, f, wide)
+    q = schoolbook_powmod([x % wide for x in p_over_pi(tw)], t, f, wide)
     acc = schoolbook_mulmod(list(c), q, f, wide)
     if any(x % p**t for x in acc):
         return None
@@ -419,6 +485,22 @@ def test_strip_matches_p_over_pi_formula(spec):
             assert strip_by_p_over_pi(tw, c, t) is None
             with pytest.raises(PrecisionError):
                 tw._strip(c, t)
+
+
+@pytest.mark.parametrize("spec", BENCH_TOWERS, ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_strip_tables_match_the_p_over_pi_power(spec):
+    # the multiplier p^k / pi^t mod p^(cp+k), k = ceil(t/e), as it was
+    # built before: (p/pi)^t mod p^(cp+t), divided by p^(t-k)
+    tw = make_tower(*spec)
+    p = tw.p
+    for t in range(1, 3 * tw.e + 3):
+        k = -(-t // tw.e)
+        wide = tw.modulus * p**t
+        f = [x % wide for x in tw.minpoly]
+        q_wide = lf._poly_powmod([x % wide for x in p_over_pi(tw)], t, f, wide)
+        q = lf._poly_trim([x // p ** (t - k) for x in q_wide])
+        mod_k = tw.modulus * p**k
+        assert tw._strip_table(t) == (mod_k, [x % mod_k for x in tw.minpoly], q, p**k)
 
 
 def newton_inverse_full_rounds(tw, unit):
@@ -578,6 +660,7 @@ LOCAL_DIGESTS = {
     (2, "cyclotomic", 3, 88): "7752895f207a06bfe1d6c62f01a5c34d7beef1ba23abeff3e49c10c462c4bbd7",
     (3, "unramified", 2, 28): "36ed02d411fc2bac23c6d8afe98042b0621b8bfd97e81d07c6f75a10702c009b",
     (5, "unramified", 2, 28): "298d33d86a8d5ee575fea7aa3a852cb2ed1c1eb1161d3a2f5d60e1b8acfd91f1",
+    (7, "cyclotomic", 1, 192): "4b6b2f00e424b08038d0df673fdbc752bc28b4ce654ab240b7e0f7162b211cc3",
 }
 
 
