@@ -188,9 +188,9 @@ def _poly_powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
 def _poly_invmod(a: list[int], v: list[int], f: list[int], m: int, digits: int) -> list[int]:
     """a^-1 mod (f, m) by Newton's iteration v -> v(2 - av), from v a lift
     of the inverse of a's residue.  Each round doubles the pi-adic
-    valuation of 1 - av, so ceil(log2(digits)) + 2 rounds reach the
-    digits pi-digits of m; it stops once av = 1, where further rounds
-    leave v unchanged."""
+    valuation of 1 - av, so ceil(log2(digits)) + 2 rounds reach m, which
+    holds that many pi-digits; it stops once av = 1, where further
+    rounds leave v unchanged."""
     one = [1] + [0] * (len(f) - 2)
     for _ in range(max(3, math.ceil(math.log2(digits)) + 2)):
         av = _poly_mulmod(a, v, f, m)

@@ -106,7 +106,8 @@ def test_class_of_shifts_and_lifts_the_residue(spec):
         if i == tw.n and tw.f > 1:
             elements.append(tw.mul(tw.from_poly([1, 1]), pi_i))  # residue outside F_p
         for a in elements:
-            assert tw.residue(tw.mul(a, tw.powi(pi_i, -tw.level_val(i, a)))) != (1,) + (0,) * (tw.f - 1)
+            v = tw.level_val(i, a)
+            assert v and tw.residue(tw.mul(a, tw.powi(pi_i, -v))) != (1,) + (0,) * (tw.f - 1)
             assert not np.any(tw.class_of(i, tw.powi(a, p)))
             for b in elements:
                 lhs = tw.class_of(i, tw.mul(a, b))
@@ -493,7 +494,7 @@ def test_strip_tables_match_the_p_over_pi_power(spec):
     # built before: (p/pi)^t mod p^(cp+t), divided by p^(t-k)
     tw = make_tower(*spec)
     p = tw.p
-    for t in range(1, 3 * tw.e + 3):
+    for t in [*range(1, 3 * tw.e + 3), tw.e * tw.cp]:  # k runs up to cp
         k = -(-t // tw.e)
         wide = tw.modulus * p**t
         f = [x % wide for x in tw.minpoly]
@@ -501,6 +502,9 @@ def test_strip_tables_match_the_p_over_pi_power(spec):
         q = lf._poly_trim([x // p ** (t - k) for x in q_wide])
         mod_k = tw.modulus * p**k
         assert tw._strip_table(t) == (mod_k, [x % mod_k for x in tw.minpoly], q, p**k)
+    # past k = cp no nonzero polynomial mod p^cp is divisible by pi^t
+    with pytest.raises(PrecisionError):
+        tw._strip_table(tw.e * tw.cp + 1)
 
 
 def newton_inverse_full_rounds(tw, unit):
