@@ -1,9 +1,9 @@
 """Command-line front door: build instances, decompose, verify, report.
 
 JSON is the single interchange format; tables are derived views.  Exit
-codes: 0 ok, 1 verification failure, 2 invalid input, 3 internal
-inconsistency (a theorem-violation finding), 141 stdout closed by its
-reader (128 + SIGPIPE).
+codes: 0 ok, 1 verification failure, 2 invalid input or an unwritable
+output path, 3 internal inconsistency (a theorem-violation finding), 141
+stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _cmd_synth(args) -> int:
 def _cmd_decompose(args) -> int:
     try:
         d = load_datum(args.infile)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"cannot read datum: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
@@ -165,7 +165,7 @@ def _cmd_verify(args) -> int:
     try:
         d = load_datum(args.infile)
         dec = load_decomposition(args.decomposition)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if _refuse_invalid(d):
@@ -181,7 +181,7 @@ def _cmd_verify(args) -> int:
 def _cmd_invariants(args) -> int:
     try:
         d = load_datum(args.infile)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"cannot read datum: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if _refuse_invalid(d):
@@ -258,6 +258,11 @@ def main(argv=None) -> int:
         # interpreter's flush at exit has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # every input is read inside its handler, so what is left is an
+        # output path that cannot be written
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

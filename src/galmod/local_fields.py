@@ -17,13 +17,14 @@ pi = x = zeta - 1.  Everything else reads only this data.  The residue
 field of K_i is the subspace of F_p[x]/(r) fixed by Frobenius^(f_i),
 f_i its residue degree.
 
-Elements live in the top field K in floating form pi^val * unit, the
-unit being a polynomial in x with coefficients modulo p^cp, together
-with an absolute precision bound aprec (in pi-digits): the represented
-value is guaranteed modulo pi^aprec.  Addition that cancels past the
-bound collapses to an exact zero-at-precision, which is what equality
-tests consume.  The generator x is pi or a unit, so valuations read off
-coefficients exactly.
+An element is a value (val, unit, aprec) in the top field K: the
+floating form pi^val * unit, the unit being a polynomial in x with
+coefficients modulo p^cp, and an absolute precision bound aprec (in
+pi-digits): the represented value is guaranteed modulo pi^aprec.  The
+tower does all arithmetic on elements, and nothing it keeps refers back
+to it.  Addition that cancels past the bound collapses to an exact
+zero-at-precision, which is what equality tests consume.  The generator
+x is pi or a unit, so valuations read off coefficients exactly.
 
 Unit arithmetic is polynomial multiplication modulo (f, p^cp).
 ``_poly_mulmod`` packs each operand into one integer with byte-aligned
@@ -41,8 +42,6 @@ once uv = 1, where further rounds leave v unchanged.  ``powi`` squares
 and multiplies as ``_poly_powmod`` does, with no product by one and no
 square after the top bit.  All of this is exact: results are the same
 residues the schoolbook product gives.
-Elements a tower keeps for itself refer back to it weakly, so a tower
-is freed as soon as its last user drops it.
 
 sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
 the Hensel-lifted Frobenius root.  Each sigma^k is stored as the packed
@@ -66,7 +65,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-import weakref
 from dataclasses import dataclass
 from itertools import product, repeat
 
@@ -270,10 +268,6 @@ def _gf_poly_inverse(a: list[int], f: list[int], p: int) -> list[int]:
     return [x * c % p for x in s0] + [0] * (d - len(s0))
 
 
-def _small_prime(q: int) -> bool:
-    return q >= 2 and all(q % t for t in range(2, int(q**0.5) + 1))
-
-
 def _gf_irreducible(f: list[int], p: int) -> bool:
     d = len(f) - 1
     x = [0, 1]
@@ -281,7 +275,7 @@ def _gf_irreducible(f: list[int], p: int) -> bool:
     xq = _poly_powmod(x, p**d, f, p)
     if _poly_trim(_poly_add(xq, minus_x, p)) != []:
         return False
-    for ell in [q for q in range(2, d + 1) if d % q == 0 and _small_prime(q)]:
+    for ell in [q for q in range(2, d + 1) if d % q == 0 and fl.is_prime(q)]:
         xe = _poly_powmod(x, p ** (d // ell), f, p)
         if len(_gf_poly_gcd(_poly_add(xe, minus_x, p), f, p)) - 1 != 0:
             return False
@@ -316,7 +310,6 @@ class LFElement:
     the represented value is correct modulo pi^aprec.  None means exact.
     """
 
-    tower: "LocalTower"
     val: int
     unit: tuple[int, ...] | None
     aprec: int | None = None
@@ -324,21 +317,6 @@ class LFElement:
     @property
     def is_zero(self) -> bool:
         return self.unit is None
-
-    def __add__(self, other):
-        return self.tower.add(self, other)
-
-    def __sub__(self, other):
-        return self.tower.add(self, self.tower.neg(other))
-
-    def __mul__(self, other):
-        return self.tower.mul(self, other)
-
-    def __truediv__(self, other):
-        return self.tower.mul(self, self.tower.inv(other))
-
-    def __pow__(self, e: int):
-        return self.tower.powi(self, e)
 
     def __repr__(self):
         if self.is_zero:
@@ -428,12 +406,9 @@ class LocalTower:
         self._shift_powers: dict[int, list[int]] = {}
 
         self._unit_one = (1,) + (0,) * (self.deg - 1)
-        # Elements the tower keeps (sigma's uniformizer units, the level
-        # uniformizers, zeta, the class bases) refer back to it through
-        # this weak proxy, so the tower is in no reference cycle: once its
-        # caller drops it, it is freed at once, not at the next full
-        # garbage collection.
-        self._ref = weakref.proxy(self)
+        self.one = LFElement(0, self._unit_one)
+        self.zero = LFElement(0, None)
+        self.pi = LFElement(1, self._unit_one)
 
         if kind == UNRAMIFIED:
             # sigma is the Frobenius, and p is the uniformizer of every level
@@ -444,7 +419,7 @@ class LocalTower:
             # to zeta^u - 1; K_i has the uniformizer zeta^(p^(n-i)) - 1
             gen_image = _poly_powmod([1, 1], 5 if p == 2 else 1 + p, self.fpoly, self.modulus)
             gen_image[0] = (gen_image[0] - 1) % self.modulus
-            zeta = self._own(self.add(self.one, self.pi))
+            zeta = self.add(self.one, self.pi)
             self._zeta = (zeta, p**zeta_power)
             rels = [p ** (n - i) for i in range(n + 1)]
             uniformizers = [self.add(self.powi(zeta, rel), self.neg(self.one)) for rel in rels]
@@ -460,22 +435,6 @@ class LocalTower:
 
     # -- element construction ------------------------------------------------
 
-    @property
-    def one(self) -> LFElement:
-        return LFElement(self, 0, self._unit_one)
-
-    @property
-    def zero(self) -> LFElement:
-        return LFElement(self, 0, None)
-
-    @property
-    def pi(self) -> LFElement:
-        return LFElement(self, 1, self._unit_one)
-
-    def _own(self, x: LFElement) -> LFElement:
-        """x as an element the tower keeps (see ``_ref``)."""
-        return LFElement(self._ref, x.val, x.unit, x.aprec)
-
     def from_poly(self, coeffs) -> LFElement:
         d = self.deg
         c = [int(x) % self.modulus for x in coeffs][:d]
@@ -483,7 +442,7 @@ class LocalTower:
         if all(x == 0 for x in c):
             return self.zero
         t = self._poly_val(c)
-        return LFElement(self, t, tuple(self._strip(c, t)), t + self.rel_cap)
+        return LFElement(t, tuple(self._strip(c, t)), t + self.rel_cap)
 
     def from_int(self, c: int) -> LFElement:
         c = int(c) % self.modulus
@@ -584,7 +543,7 @@ class LocalTower:
 
     def add(self, x: LFElement, y: LFElement) -> LFElement:
         if x.is_zero and y.is_zero:
-            return LFElement(self, 0, None, _amin(x.aprec, y.aprec))
+            return LFElement(0, None, _amin(x.aprec, y.aprec))
         if x.is_zero:
             return self._clip(y, x.aprec)
         if y.is_zero:
@@ -594,31 +553,29 @@ class LocalTower:
         a = _amin(x.aprec, y.aprec, x.val + self.rel_cap)
         delta = y.val - x.val
         if delta >= a - x.val:
-            return LFElement(self, x.val, x.unit, a)
+            return LFElement(x.val, x.unit, a)
         w = _poly_add(x.unit, self._shift(y.unit, delta), self.modulus)
         if all(v == 0 for v in w):
-            return LFElement(self, 0, None, a)
+            return LFElement(0, None, a)
         t = self._poly_val(w)
         if x.val + t >= a:
-            return LFElement(self, 0, None, a)
-        return LFElement(self, x.val + t, tuple(self._strip(w, t)), a)
+            return LFElement(0, None, a)
+        return LFElement(x.val + t, tuple(self._strip(w, t)), a)
 
     def _clip(self, x: LFElement, aprec) -> LFElement:
         if aprec is None:
             return x
         if x.is_zero:
-            return LFElement(self, 0, None, _amin(x.aprec, aprec))
+            return LFElement(0, None, _amin(x.aprec, aprec))
         a = _amin(x.aprec, aprec)
         if x.val >= a:
-            return LFElement(self, 0, None, a)
-        return LFElement(self, x.val, x.unit, a)
+            return LFElement(0, None, a)
+        return LFElement(x.val, x.unit, a)
 
     def neg(self, x: LFElement) -> LFElement:
         if x.is_zero:
             return x
-        return LFElement(
-            self, x.val, tuple((-v) % self.modulus for v in x.unit), x.aprec
-        )
+        return LFElement(x.val, tuple((-v) % self.modulus for v in x.unit), x.aprec)
 
     def mul(self, x: LFElement, y: LFElement) -> LFElement:
         if x.is_zero or y.is_zero:
@@ -628,7 +585,7 @@ class LocalTower:
             if y.is_zero and y.aprec is not None:
                 ay = y.aprec + (x.val if not x.is_zero else 0)
                 a = _amin(a, ay)
-            return LFElement(self, 0, None, a)
+            return LFElement(0, None, a)
         u = _poly_mulmod(x.unit, y.unit, self.fpoly, self.modulus)
         val = x.val + y.val
         a = _amin(
@@ -636,7 +593,7 @@ class LocalTower:
             None if y.aprec is None else y.aprec + x.val,
             val + self.rel_cap,
         )
-        return LFElement(self, val, tuple(u), a)
+        return LFElement(val, tuple(u), a)
 
     def inv(self, x: LFElement) -> LFElement:
         if x.is_zero:
@@ -646,7 +603,7 @@ class LocalTower:
         rel = None if x.aprec is None else x.aprec - x.val
         a = None if rel is None else -x.val + rel
         a = _amin(a, -x.val + self.rel_cap)
-        return LFElement(self, -x.val, tuple(v), a)
+        return LFElement(-x.val, tuple(v), a)
 
     def _residue_inverse(self, u: list[int]) -> list[int]:
         """A lift of the inverse of u's residue u[:f] in F_p[x]/(r)."""
@@ -707,7 +664,7 @@ class LocalTower:
             units = [self.from_poly(g) for g in images[:order]]
             if any(u.val != 1 for u in units):
                 raise ValueError("generator image is not a uniformizer")
-            self._sigma_pi_units = [LFElement(self._ref, 0, u.unit) for u in units]
+            self._sigma_pi_units = [LFElement(0, u.unit) for u in units]
         # exact order: sigma^(p^n) = 1 and sigma^(p^(n-1)) != 1, read on x
         # as sigma^k(x^j) = g_k^j.  Hensel-lifted coefficients are exact
         # only to about cp digits, so compare a few digits below the cap.
@@ -762,7 +719,7 @@ class LocalTower:
         k %= self.p**self.n
         if k == 0 or x.is_zero:
             return x
-        img = LFElement(self, x.val, tuple(self._compose(x.unit, self._sigma_cols[k])), x.aprec)
+        img = LFElement(x.val, tuple(self._compose(x.unit, self._sigma_cols[k])), x.aprec)
         if self._sigma_pi_units is None:
             return img
         return self.mul(img, self.powi(self._sigma_pi_units[k], x.val))
@@ -795,7 +752,7 @@ class LocalTower:
             # a ramified step K_i/K_(i-1) moves its uniformizer
             if i and level_e[i] > level_e[i - 1] and self.eq(self.galois(pi_i, p ** (i - 1)), pi_i):
                 raise ValueError(f"level {i} fixed too early: non-cyclic tower")
-        self.level_uniformizer = [self._own(pi_i) for pi_i in uniformizers]
+        self.level_uniformizer = uniformizers
 
     # -- residue machinery -----------------------------------------------------------
 
@@ -863,11 +820,11 @@ class LocalTower:
             return self.zero
         if x.val % p:
             raise NotPthPower("valuation is not divisible by p")
-        unit = LFElement(self, 0, x.unit, None if x.aprec is None else x.aprec - x.val)
+        unit = LFElement(0, x.unit, None if x.aprec is None else x.aprec - x.val)
         root = self.teichmuller(self._residue_frob_inverse(self.residue(unit)))
         bases: list[LFElement] = []
         coords, rest, lead = self.classes(self.n)._reduce(
-            self.mul(unit, self.inv(self.powi(root, p))), bases
+            self, self.mul(unit, self.inv(self.powi(root, p))), bases
         )
         if lead is not None:
             raise NotPthPower(f"level {lead[0]} is not cancelled by a p-th power")
@@ -908,31 +865,34 @@ class LocalTower:
 
     def classes(self, i: int) -> "_LevelClasses":
         if i not in self._classes:
-            self._classes[i] = _LevelClasses(self._ref, i)
+            self._classes[i] = _LevelClasses(self, i)
         return self._classes[i]
 
     def class_basis(self, i: int) -> list[LFElement]:
         """Basis of J(K_i) = K_i^x/(K_i^x)^p, uniformizer class first."""
-        return [LFElement(self, b.val, b.unit, b.aprec) for b in self.classes(i).basis_elements]
+        return list(self.classes(i).basis_elements)
 
     def class_of(self, i: int, x: LFElement) -> Array:
         """Coordinates of the class of x in the level-i basis."""
-        return self.classes(i).class_of(x)
+        return self.classes(i).class_of(self, x)
 
     def dim_class_space(self, i: int) -> int:
         return self.classes(i).dim
 
 
 class _LevelClasses:
-    """Echelonized basis of K_i^x/(K_i^x)^p, with coordinates."""
+    """Echelonized basis of K_i^x/(K_i^x)^p, with coordinates.
+
+    It keeps no tower, so the tower that keeps it is in no reference
+    cycle: the methods that do arithmetic take the tower first."""
 
     def __init__(self, tower: LocalTower, i: int):
-        self.t = tower
+        self.p = p = tower.p
+        self.f = tower.f
         self.i = i
-        p = tower.p
         self.e_i = tower.level_e[i]
         self.pi_i = tower.level_uniformizer[i]
-        self.pi_i_inv = tower._own(tower.inv(self.pi_i))
+        self.pi_i_inv = tower.inv(self.pi_i)
         self.crit = p * self.e_i // (p - 1) if (p * self.e_i) % (p - 1) == 0 else None
         self.jstar = (p * self.e_i) // (p - 1)
         # the residue field of K_i: a residue in it has its coordinates on
@@ -941,10 +901,10 @@ class _LevelClasses:
         self.res_basis = self.res_field.basis.tolist()
         frob = fl.matmul(tower._res_frobenius, self.res_field.basis.T, p)
         self._frob_sub = frob[self.res_field.pivots]
-        self._crit_map = self._artin_schreier_map()
+        self._crit_map = self._artin_schreier_map(tower)
         # records: (reduced element, its inverse, filtration level, leading coords)
         self.unit_basis: list[tuple[LFElement, LFElement, int, Array]] = []
-        self._build()
+        self._build(tower)
         self.basis_elements = [self.pi_i] + [b for b, _, _, _ in self.unit_basis]
         self.dim = len(self.basis_elements)
         # dim_{F_p} K_i^x/K_i^xp = [K_i:Q_p] + 1 + [xi_p in K_i]
@@ -956,64 +916,61 @@ class _LevelClasses:
 
     def _res_coords(self, residue) -> Array:
         gamma = np.array(residue, dtype=np.int64)
-        if self.res_field.dim == self.t.f:
+        if self.res_field.dim == self.f:
             return gamma  # all of F_p[x]/(r), whose RREF basis is the identity
         if not self.res_field.contains(gamma):
             raise AssertionError("leading coefficient escaped the residue subfield")
         return gamma[self.res_field.pivots]
 
-    def _res_from_coords(self, coords) -> LFElement:
-        t = self.t
-        acc = [0] * t.f
+    def _res_from_coords(self, t: LocalTower, coords) -> LFElement:
+        p = self.p
+        acc = [0] * self.f
         for c, b in zip(coords, self.res_basis):
-            if int(c) % t.p:
+            if int(c) % p:
                 for k, bv in enumerate(b):
-                    acc[k] = (acc[k] + int(c) * bv) % t.p
+                    acc[k] = (acc[k] + int(c) * bv) % p
         return t.teichmuller(acc)
 
-    def _artin_schreier_map(self) -> Array | None:
+    def _artin_schreier_map(self, t: LocalTower) -> Array | None:
         """c -> c^p + eta*c on subfield coordinates, eta the residue of
         p/pi_i^e_i; None without a critical level."""
         if self.crit is None:
             return None
-        t = self.t
-        unit = t.mul(t.from_int(t.p), t.powi(self.pi_i_inv, self.e_i))
+        p = self.p
+        unit = t.mul(t.from_int(p), t.powi(self.pi_i_inv, self.e_i))
         if unit.val != 0:
             raise AssertionError("p/pi_i^e_i is not a unit")
         eta = list(t.residue(unit))
-        eta_b = np.array([_poly_mulmod(eta, b, t.r, t.p) for b in self.res_basis], dtype=np.int64)
-        return (self._frob_sub + eta_b.T[self.res_field.pivots]) % t.p
+        eta_b = np.array([_poly_mulmod(eta, b, t.r, p) for b in self.res_basis], dtype=np.int64)
+        return (self._frob_sub + eta_b.T[self.res_field.pivots]) % p
 
     def _free_map(self, j: int) -> Array | None:
         """F_p-matrix whose image is cancellable at level j by p-th powers."""
-        p = self.t.p
         if self.crit is not None and j == self.crit:
             return self._crit_map
-        if j % p == 0 and (self.crit is None or j < self.crit):
+        if j % self.p == 0 and (self.crit is None or j < self.crit):
             return self._frob_sub
         return None
 
-    def _free_base(self, j: int, delta_coords) -> LFElement:
+    def _free_base(self, t: LocalTower, j: int, delta_coords) -> LFElement:
         """The element whose p-th power cancels level j."""
-        t = self.t
         if self.crit is not None and j == self.crit:
-            texp = self.e_i // (t.p - 1)
+            texp = self.e_i // (self.p - 1)
         else:
-            texp = j // t.p
-        lift = self._res_from_coords(delta_coords)
+            texp = j // self.p
+        lift = self._res_from_coords(t, delta_coords)
         return t.add(t.one, t.mul(lift, t.powi(self.pi_i, texp)))
 
-    def _leading(self, u: LFElement):
+    def _leading(self, t: LocalTower, u: LFElement):
         """(filtration level, leading coords) of a 1-unit, or (None, None)."""
-        t = self.t
         diff = t.add(u, t.neg(t.one))
         if diff.is_zero:
             return None, None
         s = t.level_val(self.i, diff)
-        gamma = t.residue(LFElement(t, 0, diff.unit, None))
+        gamma = t.residue(LFElement(0, diff.unit, None))
         return s, self._res_coords(gamma)
 
-    def _reduce(self, u: LFElement, bases: list | None = None):
+    def _reduce(self, t: LocalTower, u: LFElement, bases: list | None = None):
         """Cancel the leading terms of the 1-unit u level by level.
 
         Returns (coords over the unit basis, what is left of u, its lead).
@@ -1022,12 +979,11 @@ class _LevelClasses:
         level that neither the unit basis nor a p-th power cancels.  Each
         p-th power divided out is base^p, and base is appended to bases.
         """
-        t = self.t
-        p = t.p
+        p = self.p
         coords = np.zeros(len(self.unit_basis), dtype=np.int64)
         prev = -1
         for _ in range(4 * (self.jstar + t.cp) + 16):
-            s, gamma = self._leading(u)
+            s, gamma = self._leading(t, u)
             if s is None or s > self.jstar:
                 return coords, u, None
             if s <= prev:
@@ -1055,34 +1011,32 @@ class _LevelClasses:
                     coords[idx] = (coords[idx] + c) % p
                     u = t.mul(u, t.powi(self.unit_basis[idx][1], c))
             if free is not None and np.any(sol[k:] % p):
-                base = self._free_base(s, sol[k:])
+                base = self._free_base(t, s, sol[k:])
                 if bases is not None:
                     bases.append(base)
                 u = t.mul(u, t.inv(t.powi(base, p)))
         raise AssertionError("reduction loop failed to converge")
 
-    def _build(self):
-        t = self.t
+    def _build(self, t: LocalTower):
         for j in range(1, self.jstar + 1):
             for res in self.res_basis:
                 lift = t.teichmuller(res)
                 cand = t.add(t.one, t.mul(lift, t.powi(self.pi_i, j)))
-                _, red, lead = self._reduce(cand)
+                _, red, lead = self._reduce(t, cand)
                 if lead is not None:
                     lv, coords = lead
-                    self.unit_basis.append((t._own(red), t._own(t.inv(red)), lv, coords))
+                    self.unit_basis.append((red, t.inv(red), lv, coords))
 
-    def class_of(self, x: LFElement) -> Array:
-        t = self.t
-        p = t.p
+    def class_of(self, t: LocalTower, x: LFElement) -> Array:
+        p = self.p
         if x.is_zero:
             raise ValueError("zero has no class")
         v = t.level_val(self.i, x)
         unit = t.mul(x, t.powi(self.pi_i_inv, v)) if v else x
         res = t.residue(unit)
-        if res != t._unit_one[: t.f]:
+        if res != t._unit_one[: self.f]:
             unit = t.mul(unit, t.inv(t.teichmuller(res)))
-        coords, _, lead = self._reduce(unit)
+        coords, _, lead = self._reduce(t, unit)
         if lead is not None:
             raise AssertionError("element escaped the computed class basis")
         out = np.zeros(self.dim, dtype=np.int64)
@@ -1137,19 +1091,28 @@ def build_datum(tower: LocalTower) -> GaloisDatum:
     p, n, xi = tower.p, tower.n, tower.xi_in_F
     bases = [tower.class_basis(i) for i in range(n + 1)]
     a_cls = _a_classes(tower) if xi else {}
+    norms = [
+        _class_matrix(tower, i, [tower.norm(b, n, i) for b in bases[n]]) for i in range(n + 1)
+    ]
 
     levels = []
     for i in range(n + 1):
         sigma_i = _class_matrix(tower, i, [tower.galois(b, 1) for b in bases[i]])
-        inter = {
-            j: _class_matrix(tower, j, [tower.norm(b, i, j) for b in bases[i]])
-            for j in range(i)
-        }
+        if i == n:
+            # N_(K/K) = 1: eps at the top is its norm, and its inter-norm
+            # to level j is the level-j norm
+            eps, inter = norms[n], dict(enumerate(norms[:n]))
+        else:
+            eps = _class_matrix(tower, n, bases[i])
+            inter = {
+                j: _class_matrix(tower, j, [tower.norm(b, i, j) for b in bases[i]])
+                for j in range(i)
+            }
         levels.append(
             LevelData(
                 space=gmod.make_module(p, i, sigma_i),
-                eps=_class_matrix(tower, n, bases[i]),
-                norm=_class_matrix(tower, i, [tower.norm(b, n, i) for b in bases[n]]),
+                eps=eps,
+                norm=norms[i],
                 inter_norm=inter,
                 a_class=a_cls.get(i),
             )

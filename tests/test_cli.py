@@ -247,6 +247,25 @@ def test_uncaught_inconsistency_exits_3(monkeypatch, capsys):
     assert one_line(capsys.readouterr().err) == "inconsistency: operator is not nilpotent\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--p", "3", "--n", "1", "--e", "1,1", "--out", "{bad}"],
+        ["synth", "--p", "3", "--n", "1", "--e", "1,1", "--out", "{ok}", "--sidecar", "{bad}"],
+        ["local", "--p", "3", "--kind", "unramified", "--n", "1", "--precision", "40",
+         "--out", "{bad}"],
+        ["decompose", "--in", "{datum}", "--out", "{bad}"],
+    ],
+    ids=["synth-out", "synth-sidecar", "local-out", "decompose-out"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    datum, _ = readme_example(tmp_path)
+    paths = {"bad": tmp_path / "missing" / "x.json", "ok": tmp_path / "ok.json", "datum": datum}
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert one_line(capsys.readouterr().err).startswith("cannot write output: ")
+
+
 HUGE_P = 1000000000000000003  # prime; trial division up to its root takes minutes
 
 

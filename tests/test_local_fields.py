@@ -534,21 +534,41 @@ def test_inv_matches_full_round_newton(spec):
 
 
 def test_dropped_tower_is_freed_without_gc():
+    # elements are plain values: they keep no tower alive, and the tower
+    # is in no reference cycle, so it goes as soon as its caller drops it
     tw = make_tower(3, "cyclotomic", 1, 60)
     build_datum(tw)
     basis = tw.class_basis(1)
+    product = tw.mul(basis[1], basis[2])
+    expected = [(x.val, x.unit) for x in basis + [product]]
     ref = weakref.ref(tw)
     gc.disable()
     try:
         del tw
-        # elements handed out keep their tower alive ...
-        assert ref() is not None
-        assert basis[1].tower.eq(basis[1] * basis[2], basis[2] * basis[1])
-        # ... and the tower is in no reference cycle
-        del basis
         assert ref() is None
+        assert [(x.val, x.unit) for x in basis + [product]] == expected
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "spec", [(3, "cyclotomic", 2, 100), (3, "unramified", 2, 28)], ids=lambda s: f"{s[1]}{s[0]}n{s[2]}"
+)
+def test_build_datum_takes_each_top_norm_once(spec, monkeypatch):
+    # N_(K/K) = 1, so the top level's eps and inter-norms reuse the
+    # level norms: one norm from level n to each j < n per basis element
+    calls = []
+    norm = lf.LocalTower.norm
+
+    def counted(self, x, i, j):
+        calls.append((i, j))
+        return norm(self, x, i, j)
+
+    monkeypatch.setattr(lf.LocalTower, "norm", counted)
+    tw = make_tower(*spec)
+    d = build_datum(tw)
+    n = tw.n
+    assert sum(i == n and j < n for i, j in calls) == n * d.J.dim
 
 
 @pytest.mark.parametrize(
@@ -608,12 +628,12 @@ def matrix_galois(tw, mats, x, k):
     d, mod = tw.deg, tw.modulus
     m = mats[k]
     img = tuple(sum(m[i][j] * x.unit[j] for j in range(d)) % mod for i in range(d))
-    out = lf.LFElement(tw, x.val, img, x.aprec)
+    out = lf.LFElement(x.val, img, x.aprec)
     if tw.kind == "unramified":
         return out
     sigma_pi = tw.from_poly([m[i][1] for i in range(d)])
     assert sigma_pi.val == 1
-    return tw.mul(out, tw.powi(lf.LFElement(tw, 0, sigma_pi.unit), x.val))
+    return tw.mul(out, tw.powi(lf.LFElement(0, sigma_pi.unit), x.val))
 
 
 GALOIS_TOWERS = ((3, "cyclotomic", 2, 100), (2, "cyclotomic", 3, 88), (5, "unramified", 1, 28))
