@@ -3,46 +3,91 @@
 JSON is the single interchange format; tables are derived views.  Exit
 codes: 0 ok, 1 verification failure, 2 invalid input or an unwritable
 output path, 3 internal inconsistency (a theorem-violation finding), 141
-stdout closed by its reader (128 + SIGPIPE).
+stdout closed by its reader (128 + SIGPIPE).  An output path in a
+missing directory, or one naming a directory, is refused before any
+work; any other write failure is refused after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .datum import (
     InconsistencyError,
+    datum_from_json,
+    datum_to_json,
     e_ranks,
     json_int,
     json_int_array,
     level_from_str,
     level_str,
-    load_datum,
-    save_datum,
     validate,
 )
 from .decompose import (
     all_clauses_pass,
     check_shape,
     decompose,
+    decomposition_from_json,
     decomposition_to_json,
-    load_decomposition,
-    save_decomposition,
     verify,
 )
 from .gmod import jordan_type, make_module
-from .local_fields import build_datum, make_tower
-from .synth import SynthParams, save_sidecar, synthesize
+from .local_fields import PrecisionError, build_datum, make_tower
+from .synth import SynthParams, sidecar, synthesize
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
+
+
+class Refusal(Exception):
+    """Invalid input: the one stderr line that main prints before exit 2."""
+
+
+@contextmanager
+def _refusing(prefix: str, *errors: type[Exception]):
+    """Refuse the block's errors as one `prefix: reason` line; a reason
+    that already starts with the prefix keeps it once."""
+    try:
+        yield
+    except errors as exc:
+        raise Refusal(f"{prefix}: {str(exc).removeprefix(prefix + ': ')}") from None
+
+
+def _read(path: str, what: str, from_json):
+    """from_json of the JSON document at path, or `cannot read {what}`."""
+    with _refusing(f"cannot read {what}", ValueError, KeyError, TypeError, OverflowError,
+                   OSError):
+        with open(path, "r", encoding="utf-8") as fh:
+            return from_json(json.load(fh))
+
+
+def _text(doc) -> str:
+    """A JSON document as galmod writes it, to a file or to stdout:
+    indent 1, one trailing newline."""
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _write(path: str, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_text(doc))
+
+
+def _check_output(path: str):
+    """Raise what opening path for writing would, for a path naming a
+    directory or lying in a missing one, before any work is done."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -97,7 +142,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    try:
+    with _refusing("invalid parameters", ValueError):
         e = tuple(int(x) for x in args.e.split(","))
         m = level_from_str(args.m)
         m1 = None if args.minus_one_norm is None else args.minus_one_norm == "true"
@@ -106,31 +151,20 @@ def _cmd_synth(args) -> int:
             minus_one_is_norm=m1, shuffle_seed=args.seed,
         )
         params.check()
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     d = synthesize(params)
-    save_datum(d, args.out)
+    _write(args.out, datum_to_json(d))
     if args.sidecar:
-        save_sidecar(params, args.sidecar)
+        _write(args.sidecar, sidecar(params))
     print(f"wrote datum (dim J = {d.J.dim}) to {args.out}")
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        d = load_datum(args.infile)
-    except (ValueError, OSError) as exc:
-        print(f"cannot read datum: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+    d = _read(args.infile, "datum", datum_from_json)
+    with _refusing("invalid datum", ValueError):  # HypothesisError is a ValueError
         dec = decompose(d)
-    except ValueError as exc:  # HypothesisError is a ValueError
-        reason = str(exc).removeprefix("invalid datum: ")
-        print(f"invalid datum: {reason}", file=sys.stderr)
-        return EXIT_INVALID
     if args.out:
-        save_decomposition(dec, args.out)
+        _write(args.out, decomposition_to_json(dec))
     if args.format == "table":
         e = e_ranks(d)
         print(f"m            : {level_str(dec.m)}")
@@ -139,7 +173,7 @@ def _cmd_decompose(args) -> int:
         print(f"blocks       : {dec.block_multiset()}")
         print(f"dim J        : {d.J.dim}")
     else:
-        print(json.dumps(decomposition_to_json(dec), indent=1))
+        sys.stdout.write(_text(decomposition_to_json(dec)))
     return EXIT_OK
 
 
@@ -153,54 +187,35 @@ def _print_report(report: dict) -> int:
     return EXIT_OK if all_clauses_pass(report) else EXIT_VERIFY_FAIL
 
 
-def _refuse_invalid(d) -> bool:
-    """Print the one-line refusal of a datum failing validate; True then."""
+def _check_valid(d):
+    """Refuse a datum that fails the axioms, as decompose does."""
     violations = validate(d)
     if violations:
-        print("invalid datum: " + "; ".join(violations), file=sys.stderr)
-    return bool(violations)
+        raise Refusal("invalid datum: " + "; ".join(violations))
 
 
 def _cmd_verify(args) -> int:
-    try:
-        d = load_datum(args.infile)
-        dec = load_decomposition(args.decomposition)
-    except (ValueError, OSError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if _refuse_invalid(d):
-        return EXIT_INVALID
-    try:
+    d = _read(args.infile, "input", datum_from_json)
+    dec = _read(args.decomposition, "input", decomposition_from_json)
+    _check_valid(d)
+    with _refusing("invalid decomposition", ValueError):
         check_shape(dec, d)
-    except ValueError as exc:
-        print(f"invalid decomposition: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     return _print_report(verify(dec, d))
 
 
 def _cmd_invariants(args) -> int:
-    try:
-        d = load_datum(args.infile)
-    except (ValueError, OSError) as exc:
-        print(f"cannot read datum: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if _refuse_invalid(d):
-        return EXIT_INVALID
+    d = _read(args.infile, "datum", datum_from_json)
+    _check_valid(d)
     from .invariants import lemma_property_suite
 
     return _print_report(lemma_property_suite(d))
 
 
 def _cmd_local(args) -> int:
-    from .local_fields import PrecisionError
-
-    try:
+    with _refusing("cannot build tower", ValueError, PrecisionError):
         tower = make_tower(args.p, args.kind, args.n, args.precision)
         d = build_datum(tower)
-    except (ValueError, PrecisionError) as exc:
-        print(f"cannot build tower: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    save_datum(d, args.out)
+    _write(args.out, datum_to_json(d))
     print(
         f"wrote datum for {args.kind} tower (p={args.p}, n={args.n}, "
         f"dim J = {d.J.dim}) to {args.out}"
@@ -208,21 +223,20 @@ def _cmd_local(args) -> int:
     return EXIT_OK
 
 
+def _module_from_json(obj):
+    return make_module(
+        json_int(obj["p"], "p"), json_int(obj["n"], "n"), json_int_array(obj["sigma"], "sigma")
+    )
+
+
 def _cmd_jordan(args) -> int:
-    try:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        m = make_module(
-            json_int(obj["p"], "p"), json_int(obj["n"], "n"), json_int_array(obj["sigma"], "sigma")
-        )
-    except (ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
-        print(f"cannot read module: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(jordan_type(m))
+    print(jordan_type(_read(args.infile, "module", _module_from_json)))
     return EXIT_OK
 
 
 def _cmd_selftest(args) -> int:
+    if args.dim_cap < 1:
+        raise Refusal(f"invalid parameters: --dim-cap {args.dim_cap} is below 1")
     from .sweep import run_sweep
 
     result = run_sweep(dim_cap=args.dim_cap, quick=args.quick)
@@ -247,6 +261,8 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
+        for path in filter(None, (vars(args).get("out"), vars(args).get("sidecar"))):
+            _check_output(path)
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
@@ -258,10 +274,10 @@ def main(argv=None) -> int:
         # interpreter's flush at exit has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except OSError as exc:
-        # every input is read inside its handler, so what is left is an
-        # output path that cannot be written
-        print(f"cannot write output: {exc}", file=sys.stderr)
+    except (Refusal, OSError) as exc:
+        # every input is read under its own refusal, so an OSError left
+        # here is an output that cannot be written
+        print(exc if isinstance(exc, Refusal) else f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -11,7 +11,6 @@ NEG_INF orders below every integer and m (+) 1 is 0 at the sentinel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -647,14 +646,3 @@ def datum_from_json(obj: dict) -> GaloisDatum:
     return GaloisDatum(
         p=p, n=n, J=jmod, levels=levels, xi_in_F=xi, minus_one_is_norm=minus_one
     )
-
-
-def load_datum(path: str) -> GaloisDatum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return datum_from_json(json.load(fh))
-
-
-def save_datum(d: GaloisDatum, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(datum_to_json(d), fh, indent=1, sort_keys=False)
-        fh.write("\n")

@@ -10,7 +10,6 @@ restriction table for the invariant m.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import fp_linalg as fl
@@ -332,14 +331,3 @@ def decomposition_from_json(obj: dict) -> Decomposition:
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed decomposition JSON: {exc}") from exc
     return Decomposition(p=p, n=n, m=m, x_generator=x_arr, y_generators=ys)
-
-
-def load_decomposition(path: str) -> Decomposition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decomposition_from_json(json.load(fh))
-
-
-def save_decomposition(dec: Decomposition, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(decomposition_to_json(dec), fh, indent=1, sort_keys=False)
-        fh.write("\n")

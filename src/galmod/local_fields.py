@@ -1063,34 +1063,34 @@ def kummer_generators(tower: LocalTower) -> list[LFElement]:
     the tower.  Each step is checked at the class level: a_i is not a
     p-th power in its own field, and it becomes one a level up.
     """
+    return [a for a, _ in _kummer_chain(tower)]
+
+
+def _kummer_chain(tower: LocalTower) -> list[tuple[LFElement, Array]]:
+    """(a_i, its level-i class) for i = n-1, ..., 0, each step checked."""
     if not tower.xi_in_F:
         raise ValueError("Kummer generators require xi_p in the base")
     n = tower.n
     chain = [tower.zeta(tower.p)]
     for i in range(n - 1, 0, -1):
         chain.append(tower.norm(chain[-1], i, i - 1))
+    out = []
     for k, a in enumerate(chain):
         i = n - 1 - k
-        if not np.any(tower.class_of(i, a)):
+        cls = tower.class_of(i, a)
+        if not np.any(cls):
             raise AssertionError(f"a_{i} is a p-th power in its own field")
         if np.any(tower.class_of(i + 1, a)):
             raise AssertionError(f"a_{i} does not become a p-th power at level {i + 1}")
-    return chain
-
-
-def _a_classes(tower: LocalTower) -> dict[int, Array]:
-    chain = kummer_generators(tower)
-    return {
-        tower.n - 1 - k: tower.class_of(tower.n - 1 - k, a)
-        for k, a in enumerate(chain)
-    }
+        out.append((a, cls))
+    return out
 
 
 def build_datum(tower: LocalTower) -> GaloisDatum:
     """Extract the full class-level datum from a tower."""
     p, n, xi = tower.p, tower.n, tower.xi_in_F
     bases = [tower.class_basis(i) for i in range(n + 1)]
-    a_cls = _a_classes(tower) if xi else {}
+    a_cls = {n - 1 - k: cls for k, (_, cls) in enumerate(_kummer_chain(tower))} if xi else {}
     norms = [
         _class_matrix(tower, i, [tower.norm(b, n, i) for b in bases[n]]) for i in range(n + 1)
     ]

@@ -10,7 +10,6 @@ hides the canonical coordinates.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -305,9 +304,3 @@ def sidecar(params: SynthParams) -> dict:
             "block_multiset": block_multiset(params.p, params.m, params.y_ranks()),
         },
     }
-
-
-def save_sidecar(params: SynthParams, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar(params), fh, indent=1, sort_keys=False)
-        fh.write("\n")

@@ -1,5 +1,6 @@
 """End-to-end CLI flows: synth -> decompose -> verify, local, jordan."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -264,6 +265,84 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 2
     assert one_line(capsys.readouterr().err).startswith("cannot write output: ")
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+def test_local_refuses_output_path_before_building(tmp_path, capsys, monkeypatch, where):
+    import galmod.cli
+
+    monkeypatch.setattr(galmod.cli, "make_tower", _unreachable)
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    rc = main(["local", "--p", "5", "--kind", "cyclotomic", "--n", "2", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_line(captured.err).startswith("cannot write output: ")
+
+
+def test_decompose_refuses_output_path_before_decomposing(tmp_path, capsys, monkeypatch):
+    import galmod.cli
+
+    datum, _ = readme_example(tmp_path)
+    monkeypatch.setattr(galmod.cli, "decompose", _unreachable)
+    capsys.readouterr()
+    rc = main(["decompose", "--in", str(datum), "--out", str(tmp_path / "missing" / "d.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_line(captured.err).startswith("cannot write output: ")
+
+
+def test_synth_with_unwritable_sidecar_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "datum.json"
+    rc = main(["synth", "--p", "3", "--n", "1", "--e", "1,1", "--out", str(out),
+               "--sidecar", str(tmp_path / "missing" / "side.json")])
+    assert rc == 2
+    assert one_line(capsys.readouterr().err).startswith("cannot write output: ")
+    assert not out.exists()
+
+
+# sha256 of the bytes each command writes: the README's synth example with
+# its sidecar, that datum decomposed to a file and to stdout, and a local
+# tower; JSON with indent 1 and one trailing newline throughout
+OUTPUT_DIGESTS = {
+    "datum": "40c8db2d1a97871294e77d350e94e45c53699259390a707d651c2be9ba09bc3f",
+    "sidecar": "10c48f4c5daa1a604de8b5119ce623bd059fa55e96fed989b25c0c07988ba0cf",
+    "decomposition": "98dc4a540ef88734c8e9ea00a18e0b6cf5e24a1328af15420346313c5a07cd34",
+    "local": "66cf04bbc031ecf85269e331d9498f41c0d05bfb3853fbe0c20c11cff4af096d",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.json" for name in OUTPUT_DIGESTS}
+    assert main(["synth", "--p", "3", "--n", "2", "--m", "1", "--e", "1,1,1", "--xi",
+                 "--seed", "5", "--out", str(paths["datum"]),
+                 "--sidecar", str(paths["sidecar"])]) == 0
+    assert main(["decompose", "--in", str(paths["datum"]),
+                 "--out", str(paths["decomposition"])]) == 0
+    assert main(["local", "--p", "3", "--kind", "unramified", "--n", "1",
+                 "--precision", "40", "--out", str(paths["local"])]) == 0
+    for name, path in paths.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_DIGESTS[name], name
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(paths["datum"]), "--format", "json"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == OUTPUT_DIGESTS["decomposition"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_selftest_refuses_dim_cap_below_one(capsys, monkeypatch, cap):
+    import galmod.sweep
+
+    monkeypatch.setattr(galmod.sweep, "run_sweep", _unreachable)
+    assert main(["selftest", "--quick", "--dim-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_line(captured.err).startswith("invalid parameters: ")
 
 
 HUGE_P = 1000000000000000003  # prime; trial division up to its root takes minutes

@@ -557,18 +557,29 @@ def test_dropped_tower_is_freed_without_gc():
 def test_build_datum_takes_each_top_norm_once(spec, monkeypatch):
     # N_(K/K) = 1, so the top level's eps and inter-norms reuse the
     # level norms: one norm from level n to each j < n per basis element
-    calls = []
-    norm = lf.LocalTower.norm
+    calls, classes = [], []
+    norm, class_of = lf.LocalTower.norm, lf.LocalTower.class_of
 
     def counted(self, x, i, j):
         calls.append((i, j))
         return norm(self, x, i, j)
 
+    def counted_class(self, i, x):
+        classes.append(i)
+        return class_of(self, i, x)
+
     monkeypatch.setattr(lf.LocalTower, "norm", counted)
+    monkeypatch.setattr(lf.LocalTower, "class_of", counted_class)
     tw = make_tower(*spec)
     d = build_datum(tw)
     n = tw.n
     assert sum(i == n and j < n for i, j in calls) == n * d.J.dim
+    # one class per column of sigma_i, eps, the norms and the inter-norms,
+    # and two per Kummer generator a_i (no p-th power in K_i, one in
+    # K_(i+1)); the first of the two is the datum's a_class
+    dims = [tw.dim_class_space(i) for i in range(n + 1)]
+    columns = sum(dims) + sum(dims[:n]) + (n + 1) * dims[n] + sum(i * dims[i] for i in range(n))
+    assert len(classes) == columns + 2 * n * tw.xi_in_F
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,17 @@ Usage, from the root of a checkout:
 
     python3 tools/bench_pair.py --base HEAD~1 --head HEAD --label fp_float64
 
-Each commit is exported with ``git archive`` into its own temporary
-directory, so both run from their committed files only.  For every
-workload that BENCHMARK.json declares, the script runs
+For every workload that BENCHMARK.json declares, the script runs
 ``python3 perfbench/run.py --workload W --trace 0`` with run.py's own
 default seed and seconds, once per commit in each of 10 pairs,
 alternating which commit runs first: the host's speed drifts, and a fixed
-order would hand that drift to one side.  Runs are serial.
+order would hand that drift to one side.  Runs are serial.  For every
+pair, each commit is exported afresh with ``git archive`` into its own
+temporary directory and byte-compiled, so both run from their committed
+files only, and no tree is reused: trees holding the same source can
+differ by about 1 MB of peak RSS through their byte-compiled files alone,
+and a tree reused for all pairs would hand that offset to one side in
+every pair.
 
 ``BENCH_<label>.json`` at the repository root then holds every run's
 result line and record line, the order of each pair, the host (nproc,
@@ -42,15 +46,17 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def export(rev: str, dest: Path) -> str:
-    """The commit's files under dest, byte-compiled so that the first run
-    does not pay for it; returns the full commit id."""
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+def resolve(rev: str) -> str:
+    return git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+
+
+def export(commit: str, dest: Path):
+    """The commit's files under dest, byte-compiled so that the run does
+    not pay for it."""
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
         tar.extractall(dest, filter="data")
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest)], check=True)
-    return commit
 
 
 def run_argv(workload: str) -> list[str]:
@@ -100,11 +106,9 @@ def main(argv=None) -> int:
     ap.add_argument("--head", default="HEAD", help="commit that carries the change")
     ap.add_argument("--label", required=True, help="output file: BENCH_<label>.json")
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as workdir:
-        trees = {side: Path(workdir) / side for side in ("base", "head")}
-        commits = {side: export(getattr(args, side), trees[side]) for side in trees}
-        declared = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-        runs = run_pairs(trees, [w["name"] for w in declared["workloads"]])
+    commits = {side: resolve(getattr(args, side)) for side in ("base", "head")}
+    declared = json.loads(git("show", f"{commits['head']}:BENCHMARK.json"))
+    runs = run_pairs(commits, [w["name"] for w in declared["workloads"]])
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     record = next((r["record"] for r in runs if r["record"]), {}) or {}
     out = {
@@ -133,18 +137,21 @@ def main(argv=None) -> int:
     return 1 if failed else 0
 
 
-def run_pairs(trees: dict, workloads: list[str]) -> list[dict]:
+def run_pairs(commits: dict, workloads: list[str]) -> list[dict]:
     runs = []
     for workload in workloads:
         for pair in range(PAIRS):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for position, side in enumerate(order):
-                run = run_once(trees[side], workload)
-                runs.append({"workload": workload, "pair": pair, "position": position,
-                             "side": side, **run})
-                ok = run["exit"] == 0 and run["result"] and run["result"]["correct"]
-                value = run["result"]["metrics"]["items_per_ref_s"]["value"] if ok else "FAILED"
-                print(f"{workload} pair {pair} {side}: items_per_ref_s = {value}", flush=True)
+            with tempfile.TemporaryDirectory(prefix="bench_pair_") as workdir:
+                for side in order:
+                    export(commits[side], Path(workdir) / side)
+                for position, side in enumerate(order):
+                    run = run_once(Path(workdir) / side, workload)
+                    runs.append({"workload": workload, "pair": pair, "position": position,
+                                 "side": side, **run})
+                    ok = run["exit"] == 0 and run["result"] and run["result"]["correct"]
+                    value = run["result"]["metrics"]["items_per_ref_s"]["value"] if ok else "FAILED"
+                    print(f"{workload} pair {pair} {side}: items_per_ref_s = {value}", flush=True)
     return runs
 
 
