@@ -5,7 +5,8 @@ codes: 0 ok, 1 verification failure, 2 invalid input or an unwritable
 output path, 3 internal inconsistency (a theorem-violation finding), 141
 stdout closed by its reader (128 + SIGPIPE).  An output path in a
 missing directory, or one naming a directory, is refused before any
-work; any other write failure is refused after it.
+work; any other write failure is refused after it, and a datum file that
+synth created is removed when its sidecar cannot be written.
 """
 
 from __future__ import annotations
@@ -152,9 +153,16 @@ def _cmd_synth(args) -> int:
         )
         params.check()
     d = synthesize(params)
+    created = not os.path.lexists(args.out)
     _write(args.out, datum_to_json(d))
     if args.sidecar:
-        _write(args.sidecar, sidecar(params))
+        try:
+            _write(args.sidecar, sidecar(params))
+        except OSError:
+            # no datum without its sidecar: remove the file this run made
+            if created and os.path.isfile(args.out):
+                os.remove(args.out)
+            raise
     print(f"wrote datum (dim J = {d.J.dim}) to {args.out}")
     return EXIT_OK
 

@@ -142,26 +142,30 @@ def matmul(a: Array, b: Array, p: int) -> Array:
     return c.astype(np.int64)
 
 
-def mat_pow(a: Array, k: int, p: int) -> Array:
-    """a^k mod p by repeated squaring; k >= 0.
+def power(x, k: int, mul):
+    """x^k for k >= 1 by square-and-multiply under the product mul.
 
-    For k >= 1 it takes popcount(k) + bitlength(k) - 2 products: the
-    result starts at the lowest set bit's power, and the top bit's power
-    is not squared again.
+    It takes popcount(k) + bitlength(k) - 2 products: the result starts
+    at the lowest set bit's power, and the top bit's power is not
+    squared again.
     """
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = mul(x, x)
+
+
+def mat_pow(a: Array, k: int, p: int) -> Array:
+    """a^k mod p by ``power``; k >= 0."""
     if k < 0:
         raise ValueError("negative matrix power")
     if k == 0:
         return identity(a.shape[0])
-    base = a % p
-    result = None
-    while True:
-        if k & 1:
-            result = base if result is None else matmul(result, base, p)
-        k >>= 1
-        if not k:
-            return result
-        base = matmul(base, base, p)
+    return power(a % p, k, lambda x, y: matmul(x, y, p))
 
 
 def rref(a: Array, p: int) -> tuple[Array, list[int]]:

@@ -20,28 +20,32 @@ f_i its residue degree.
 An element is a value (val, unit, aprec) in the top field K: the
 floating form pi^val * unit, the unit being a polynomial in x with
 coefficients modulo p^cp, and an absolute precision bound aprec (in
-pi-digits): the represented value is guaranteed modulo pi^aprec.  The
-tower does all arithmetic on elements, and nothing it keeps refers back
-to it.  Addition that cancels past the bound collapses to an exact
-zero-at-precision, which is what equality tests consume.  The generator
-x is pi or a unit, so valuations read off coefficients exactly.
+pi-digits, inf when exact): the represented value is guaranteed modulo
+pi^aprec.  The tower does all arithmetic on elements, and nothing it
+keeps refers back to it.  Addition that cancels past the bound collapses
+to an exact zero-at-precision, which is what equality tests consume.
+The generator x is pi or a unit, so valuations read off coefficients
+exactly.
 
-Unit arithmetic is polynomial multiplication modulo (f, p^cp).
+Unit arithmetic is polynomial multiplication in a ring (Z/m)[x]/(f).
 ``_poly_mulmod`` packs each operand into one integer with byte-aligned
 coefficient slots wide enough that no slot overflows (Kronecker
 substitution), does one big-integer multiply, and folds the high half
-back with packed rows of x^k mod f, cached per (f, modulus) for the
-few most recently used moduli.  Each tower caches the uniformizer
-powers its valuation machinery reuses: the multiplier p^k / pi^t,
-k = ceil(t/e), that ``_strip`` divides by pi^t with, and pi^delta for
-``_shift``.  The multiplier is 1 when pi = p; when pi = x, pi^e = p*u
-for the unit u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the Eisenstein
-polynomial, and it is x^s * u^-k, s = ke - t, from powers of u^-1 kept
-per tower.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops
-once uv = 1, where further rounds leave v unchanged.  ``powi`` squares
-and multiplies as ``_poly_powmod`` does, with no product by one and no
-square after the top bit.  All of this is exact: results are the same
-residues the schoolbook product gives.
+back with packed rows of x^k mod f.  A ``_Ring`` holds that layout and
+those rows; whoever multiplies modulo (f, m) builds the ring once and
+keeps it.  A tower keeps one ring per modulus it uses: p^cp, each
+widened modulus p^(cp+k) of ``_strip`` (p^(2cp) among them), and
+F_p[x]/(r) for residues.  Each tower caches the uniformizer powers its
+valuation machinery reuses: the multiplier p^k / pi^t, k = ceil(t/e),
+that ``_strip`` divides by pi^t with, and pi^delta for ``_shift``.  The
+multiplier is 1 when pi = p; when pi = x, pi^e = p*u for the unit
+u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the Eisenstein polynomial, and
+it is x^s * u^-k, s = ke - t, from powers of u^-1 kept per tower.  ``inv``
+runs Newton's iteration v -> v(2 - uv) and stops once uv = 1, where
+further rounds leave v unchanged.  ``powi`` and ``_poly_powmod`` square
+and multiply by ``fl.power``, with no product by one and no square after
+the top bit.  All of this is exact: results are the same residues the
+schoolbook product gives.
 
 sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
 the Hensel-lifted Frobenius root.  Each sigma^k is stored as the packed
@@ -99,14 +103,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-# Reduction tables of _poly_mulmod, keyed by (tuple(f), m).  Each entry
-# is (slot bytes, packed rows of x^k mod (f, m) for d <= k <= 2d-2, byte
-# slices of the slots).  Least recently used first out: a tower's own
-# modulus is used throughout, the widened ones of _strip a few at a time.
-_REDUCTION_TABLES: dict[tuple, tuple] = {}
-_REDUCTION_TABLES_MAX = 8
-
-
 def _pack(c, m: int, width: int) -> int:
     """Kronecker packing: c_k mod m into byte slot k of one integer."""
     return int.from_bytes(
@@ -121,82 +117,77 @@ def _unpack(packed: int, m: int, width: int, slots: list[slice]) -> list[int]:
     return list(map(m.__rmod__, map(int.from_bytes, map(raw.__getitem__, slots), repeat("little"))))
 
 
-def _reduction_table(f: list[int], m: int) -> tuple:
-    key = (tuple(f), m)
-    table = _REDUCTION_TABLES.pop(key, None)
-    if table is None:
-        d = len(f) - 1
-        # a slot ends below 2d(m-1)^2 + m: at most d products of residues,
-        # plus d-1 reduction terms of a residue times a row entry
-        width = (2 * d * (m - 1) ** 2 + m).bit_length() // 8 + 1
-        rows = []
+class _Ring:
+    """(Z/m)[x]/(f) for monic f of degree d, laid out for _poly_mulmod.
+
+    A coefficient takes a byte slot of the given width, wide enough that
+    no slot of a product overflows: a slot ends below 2d(m-1)^2 + m, at
+    most d products of residues plus d-1 reduction terms of a residue
+    times a row entry.  rows[k] is x^(d+k) mod f packed, k < d-1, and
+    slots[k] the bytes of slot k, k < 2d-1.  Whoever multiplies modulo
+    (f, m) builds the ring once and keeps it.
+    """
+
+    __slots__ = ("f", "m", "d", "width", "rows", "slots")
+
+    def __init__(self, f: list[int], m: int):
+        self.f, self.m, self.d = [c % m for c in f], m, len(f) - 1
+        d, f = self.d, self.f
+        self.width = width = (2 * d * (m - 1) ** 2 + m).bit_length() // 8 + 1
+        self.rows = []
         row = [(-c) % m for c in f[:d]]  # x^d
         for _ in range(d - 1):
-            rows.append(_pack(row, m, width))
+            self.rows.append(_pack(row, m, width))
             top = row[-1]
             row = [(-top * f[0]) % m] + [(row[j - 1] - top * f[j]) % m for j in range(1, d)]
-        slots = [slice(k * width, (k + 1) * width) for k in range(2 * d - 1)]
-        if len(_REDUCTION_TABLES) >= _REDUCTION_TABLES_MAX:
-            del _REDUCTION_TABLES[next(iter(_REDUCTION_TABLES))]
-        table = (width, rows, slots)
-    _REDUCTION_TABLES[key] = table
-    return table
+        self.slots = [slice(k * width, (k + 1) * width) for k in range(2 * d - 1)]
 
 
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], m: int) -> list[int]:
-    """a*b mod (f, m) for monic f; inputs of length at most deg f.
+def _poly_mulmod(a: list[int], b: list[int], ring: _Ring) -> list[int]:
+    """a*b in the ring; inputs of length at most its degree d.
 
     Both operands are packed into one integer each (Kronecker
     substitution), multiplied once, and the product's coefficients of
-    degree >= deg f are folded back with the packed rows of x^k mod f.
+    degree >= d are folded back with the ring's packed rows of x^k mod f.
     """
-    d = len(f) - 1
+    d, m, width = ring.d, ring.m, ring.width
     if not a or not b:
         return [0] * d
     if len(a) > d or len(b) > d:
         raise ValueError("operand longer than deg f")
-    width, rows, slots = _reduction_table(f, m)
     pa = _pack(a, m, width)
     prod = pa * (pa if b is a else _pack(b, m, width))
     high = len(a) + len(b) - 1 - d
     if high > 0:
         low_bits = 8 * width * d
-        coeffs = _unpack(prod >> low_bits, m, width, slots[:high])
-        prod = sum(map(operator.mul, coeffs, rows), prod & ((1 << low_bits) - 1))
-    return _unpack(prod, m, width, slots[:d])
+        coeffs = _unpack(prod >> low_bits, m, width, ring.slots[:high])
+        prod = sum(map(operator.mul, coeffs, ring.rows), prod & ((1 << low_bits) - 1))
+    return _unpack(prod, m, width, ring.slots[:d])
 
 
-def _poly_powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
-    """a^e mod (f, m), e >= 0, as fl.mat_pow: the result starts at the
-    lowest set bit's power, and the top bit's power is not squared."""
-    d = len(f) - 1
+def _poly_powmod(a: list[int], e: int, ring: _Ring) -> list[int]:
+    """a^e in the ring, e >= 0, by fl.power."""
     if e == 0:
-        return [1] + [0] * (d - 1)
-    base = [c % m for c in a] + [0] * (d - len(a))
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else _poly_mulmod(result, base, f, m)
-        e >>= 1
-        if not e:
-            return result
-        base = _poly_mulmod(base, base, f, m)
+        return [1] + [0] * (ring.d - 1)
+    base = [c % ring.m for c in a] + [0] * (ring.d - len(a))
+    return fl.power(base, e, lambda x, y: _poly_mulmod(x, y, ring))
 
 
-def _poly_invmod(a: list[int], v: list[int], f: list[int], m: int, digits: int) -> list[int]:
-    """a^-1 mod (f, m) by Newton's iteration v -> v(2 - av), from v a lift
-    of the inverse of a's residue.  Each round doubles the pi-adic
-    valuation of 1 - av, so ceil(log2(digits)) + 2 rounds reach m, which
-    holds that many pi-digits; it stops once av = 1, where further
-    rounds leave v unchanged."""
-    one = [1] + [0] * (len(f) - 2)
+def _poly_invmod(a: list[int], v: list[int], ring: _Ring, digits: int) -> list[int]:
+    """a^-1 in the ring by Newton's iteration v -> v(2 - av), from v a
+    lift of the inverse of a's residue.  Each round doubles the pi-adic
+    valuation of 1 - av, so ceil(log2(digits)) + 2 rounds reach the
+    modulus, which holds that many pi-digits; it stops once av = 1,
+    where further rounds leave v unchanged."""
+    m = ring.m
+    one = [1] + [0] * (ring.d - 1)
     for _ in range(max(3, math.ceil(math.log2(digits)) + 2)):
-        av = _poly_mulmod(a, v, f, m)
+        av = _poly_mulmod(a, v, ring)
         if av == one:
             break
         two_minus = [(-c) % m for c in av]
         two_minus[0] = (two_minus[0] + 2) % m
-        v = _poly_mulmod(v, two_minus, f, m)
+        v = _poly_mulmod(v, two_minus, ring)
     return v
 
 
@@ -235,15 +226,6 @@ def _gf_poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list
     return q, r
 
 
-def _gf_poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """A gcd of a and b over F_p (its degree is what callers read)."""
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    while b:
-        a, b = b, _gf_poly_divmod(a, b, p)[1]
-    return a
-
-
 def _gf_poly_inverse(a: list[int], f: list[int], p: int) -> list[int]:
     """a^-1 mod (f, p) as deg f coefficients, by the extended Euclidean
     algorithm; ZeroDivisionError unless a is prime to f mod p."""
@@ -269,16 +251,23 @@ def _gf_poly_inverse(a: list[int], f: list[int], p: int) -> list[int]:
 
 
 def _gf_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test for monic f of degree d over F_p: x^(p^d) = x mod f,
+    and x^(p^(d/l)) - x is a unit mod f for each prime l dividing d."""
     d = len(f) - 1
-    x = [0, 1]
-    minus_x = [0, p - 1]
-    xq = _poly_powmod(x, p**d, f, p)
-    if _poly_trim(_poly_add(xq, minus_x, p)) != []:
+    if d == 1:
+        return True
+    ring = _Ring(f, p)
+
+    def x_power_minus_x(k: int) -> list[int]:  # x^(p^k) - x mod (f, p)
+        return _poly_add(_poly_powmod([0, 1], p**k, ring), [0, p - 1], p)
+
+    if any(x_power_minus_x(d)):
         return False
-    for ell in [q for q in range(2, d + 1) if d % q == 0 and fl.is_prime(q)]:
-        xe = _poly_powmod(x, p ** (d // ell), f, p)
-        if len(_gf_poly_gcd(_poly_add(xe, minus_x, p), f, p)) - 1 != 0:
-            return False
+    try:
+        for ell in [q for q in range(2, d + 1) if d % q == 0 and fl.is_prime(q)]:
+            _gf_poly_inverse(x_power_minus_x(d // ell), f, p)
+    except ZeroDivisionError:
+        return False
     return True
 
 
@@ -307,12 +296,12 @@ class LFElement:
     """pi^val * unit; unit None encodes zero (to precision aprec).
 
     aprec is an absolute precision bound in pi-digits of the top field:
-    the represented value is correct modulo pi^aprec.  None means exact.
+    the represented value is correct modulo pi^aprec.  inf means exact.
     """
 
     val: int
     unit: tuple[int, ...] | None
-    aprec: int | None = None
+    aprec: int | float = math.inf
 
     @property
     def is_zero(self) -> bool:
@@ -322,11 +311,6 @@ class LFElement:
         if self.is_zero:
             return f"LFElement(0, aprec={self.aprec})"
         return f"LFElement(val={self.val}, unit~{list(self.unit[:3])}..., aprec={self.aprec})"
-
-
-def _amin(*vals):
-    finite = [v for v in vals if v is not None]
-    return min(finite) if finite else None
 
 
 class LocalTower:
@@ -397,10 +381,16 @@ class LocalTower:
             self._pi_poly, self._x_val = [0, 1], 1
             self._pi_unit = [(-c) // p for c in self.minpoly[:-1]]
 
-        self.fpoly = [c % self.modulus for c in self.minpoly]
-        # per-tower powers of the uniformizer: t -> (modulus * p^k, f mod
-        # that, p^k / pi^t mod both, p^k) for _strip, built from u^-k mod
-        # p^(2cp) (index k); delta -> pi^delta for _shift
+        # the rings (Z/p^(cp+k))[x]/(minpoly) by k, each built on first
+        # use: k = 0 for the tower's own arithmetic, 0 < k <= cp for
+        # _strip, and k = cp (modulus p^(2cp)) for the powers of u^-1
+        self._rings: dict[int, _Ring] = {}
+        self.ring = self._ring(0)
+        self.fpoly = self.ring.f
+        self._res_ring = _Ring(self.r, p)  # F_p[x]/(r)
+        # per-tower powers of the uniformizer: t -> (ring mod p^(cp+k),
+        # p^k / pi^t in it, p^k) for _strip, built from u^-k mod p^(2cp)
+        # (index k); delta -> pi^delta for _shift
         self._strip_tables: dict[int, tuple] = {}
         self._unit_inv_powers: list[list[int] | None] = []
         self._shift_powers: dict[int, list[int]] = {}
@@ -417,7 +407,7 @@ class LocalTower:
         else:
             # zeta = 1 + pi, of order p^zeta_power, goes to zeta^u, so pi goes
             # to zeta^u - 1; K_i has the uniformizer zeta^(p^(n-i)) - 1
-            gen_image = _poly_powmod([1, 1], 5 if p == 2 else 1 + p, self.fpoly, self.modulus)
+            gen_image = _poly_powmod([1, 1], 5 if p == 2 else 1 + p, self.ring)
             gen_image[0] = (gen_image[0] - 1) % self.modulus
             zeta = self.add(self.one, self.pi)
             self._zeta = (zeta, p**zeta_power)
@@ -428,7 +418,7 @@ class LocalTower:
         self._galois_setup(gen_image)
         self._level_setup(uniformizers, level_e)
         # the matrix of c -> c^p on F_p[x]/(r), column j the image of x^j
-        frob_cols = [_poly_powmod([0] * j + [1], p, self.r, p) for j in range(self.f)]
+        frob_cols = [_poly_powmod([0] * j + [1], p, self._res_ring) for j in range(self.f)]
         self._res_frobenius = np.array(frob_cols, dtype=np.int64).T
         self._residue_fields: dict[int, fl.Subspace] = {}
         self._classes: dict[int, _LevelClasses] = {}
@@ -464,6 +454,13 @@ class LocalTower:
 
     # -- valuation machinery ---------------------------------------------------
 
+    def _ring(self, k: int) -> _Ring:
+        """The ring (Z/p^(cp+k))[x]/(minpoly), built once per tower and k."""
+        ring = self._rings.get(k)
+        if ring is None:
+            ring = self._rings[k] = _Ring(self.minpoly, self.modulus * self.p**k)
+        return ring
+
     def _poly_val(self, c: list[int]) -> int:
         """Valuation in pi-digits of a polynomial in the generator, 0 if
         it is zero; the generator is pi (valuation 1) or a unit (0)."""
@@ -491,14 +488,14 @@ class LocalTower:
         table = self._strip_tables.get(t)
         if table is None:
             table = self._strip_tables[t] = self._strip_table(t)
-        mod_k, fk, q, pk = table
-        acc = _poly_mulmod(c, q, fk, mod_k)
+        ring, q, pk = table
+        acc = _poly_mulmod(c, q, ring)
         if any(x % pk for x in acc):
             raise PrecisionError("strip below the honest valuation")
         return [(x // pk) % self.modulus for x in acc]
 
     def _strip_table(self, t: int) -> tuple:
-        """(p^(cp+k), f mod that, q = p^k / pi^t mod both, p^k), k = ceil(t/e).
+        """(ring mod p^(cp+k), q = p^k / pi^t in it, p^k), k = ceil(t/e).
 
         When pi = x, pi^e = p*u, so q = x^s * u^-k for s = ke - t: one
         product, and one more for each new power u^-k, taken from u^-1
@@ -509,24 +506,21 @@ class LocalTower:
         k = -(-t // e)
         if k > self.cp:
             raise PrecisionError("strip below the honest valuation")
-        pk = p**k
-        mod_k = self.modulus * pk
-        fk = [x % mod_k for x in self.minpoly]
+        ring = self._ring(k)
         if self._pi_unit is None:
-            return mod_k, fk, [1], pk
-        wide = self.modulus**2
-        fw = [x % wide for x in self.minpoly]
+            return ring, [1], p**k
+        wide = self._ring(self.cp)
         powers = self._unit_inv_powers
         if not powers:
-            u = [x % wide for x in self._pi_unit]
-            powers += [None, _poly_invmod(u, self._residue_inverse(u), fw, wide, 2 * self.rel_cap)]
+            u = [x % wide.m for x in self._pi_unit]
+            powers += [None, _poly_invmod(u, self._residue_inverse(u), wide, 2 * self.rel_cap)]
         while len(powers) <= k:
-            powers.append(_poly_mulmod(powers[-1], powers[1], fw, wide))
-        q = [x % mod_k for x in powers[k]]
+            powers.append(_poly_mulmod(powers[-1], powers[1], wide))
+        q = [x % ring.m for x in powers[k]]
         s = k * e - t
         if s:
-            q = _poly_mulmod([0] * s + [1], q, fk, mod_k)
-        return mod_k, fk, _poly_trim(q), pk
+            q = _poly_mulmod([0] * s + [1], q, ring)
+        return ring, _poly_trim(q), p**k
 
     def _shift(self, c: list[int], delta: int) -> list[int]:
         """Multiply a polynomial by pi^delta (delta >= 0)."""
@@ -535,22 +529,22 @@ class LocalTower:
         pd = self._shift_powers.get(delta)
         if pd is None:
             pd = self._shift_powers[delta] = _poly_trim(
-                _poly_powmod(self._pi_poly, delta, self.fpoly, self.modulus)
+                _poly_powmod(self._pi_poly, delta, self.ring)
             )
-        return _poly_mulmod(c, pd, self.fpoly, self.modulus)
+        return _poly_mulmod(c, pd, self.ring)
 
     # -- arithmetic --------------------------------------------------------------
 
     def add(self, x: LFElement, y: LFElement) -> LFElement:
         if x.is_zero and y.is_zero:
-            return LFElement(0, None, _amin(x.aprec, y.aprec))
+            return LFElement(0, None, min(x.aprec, y.aprec))
         if x.is_zero:
             return self._clip(y, x.aprec)
         if y.is_zero:
             return self._clip(x, y.aprec)
         if x.val > y.val:
             x, y = y, x
-        a = _amin(x.aprec, y.aprec, x.val + self.rel_cap)
+        a = min(x.aprec, y.aprec, x.val + self.rel_cap)
         delta = y.val - x.val
         if delta >= a - x.val:
             return LFElement(x.val, x.unit, a)
@@ -563,12 +557,8 @@ class LocalTower:
         return LFElement(x.val + t, tuple(self._strip(w, t)), a)
 
     def _clip(self, x: LFElement, aprec) -> LFElement:
-        if aprec is None:
-            return x
-        if x.is_zero:
-            return LFElement(0, None, _amin(x.aprec, aprec))
-        a = _amin(x.aprec, aprec)
-        if x.val >= a:
+        a = min(x.aprec, aprec)
+        if x.is_zero or x.val >= a:
             return LFElement(0, None, a)
         return LFElement(x.val, x.unit, a)
 
@@ -579,51 +569,32 @@ class LocalTower:
 
     def mul(self, x: LFElement, y: LFElement) -> LFElement:
         if x.is_zero or y.is_zero:
-            a = None
-            if x.is_zero and x.aprec is not None:
-                a = x.aprec + (y.val if not y.is_zero else 0)
-            if y.is_zero and y.aprec is not None:
-                ay = y.aprec + (x.val if not x.is_zero else 0)
-                a = _amin(a, ay)
+            # a zero (val 0) known mod pi^a, times pi^v, is known mod pi^(a+v)
+            a = min(z.aprec + o.val for z, o in ((x, y), (y, x)) if z.is_zero)
             return LFElement(0, None, a)
-        u = _poly_mulmod(x.unit, y.unit, self.fpoly, self.modulus)
+        u = _poly_mulmod(x.unit, y.unit, self.ring)
         val = x.val + y.val
-        a = _amin(
-            None if x.aprec is None else x.aprec + y.val,
-            None if y.aprec is None else y.aprec + x.val,
-            val + self.rel_cap,
-        )
-        return LFElement(val, tuple(u), a)
+        return LFElement(val, tuple(u), min(x.aprec + y.val, y.aprec + x.val, val + self.rel_cap))
 
     def inv(self, x: LFElement) -> LFElement:
         if x.is_zero:
             raise ZeroDivisionError("division by zero")
         u = list(x.unit)
-        v = _poly_invmod(u, self._residue_inverse(u), self.fpoly, self.modulus, self.rel_cap)
-        rel = None if x.aprec is None else x.aprec - x.val
-        a = None if rel is None else -x.val + rel
-        a = _amin(a, -x.val + self.rel_cap)
-        return LFElement(-x.val, tuple(v), a)
+        v = _poly_invmod(u, self._residue_inverse(u), self.ring, self.rel_cap)
+        return LFElement(-x.val, tuple(v), min(x.aprec - 2 * x.val, self.rel_cap - x.val))
 
     def _residue_inverse(self, u: list[int]) -> list[int]:
         """A lift of the inverse of u's residue u[:f] in F_p[x]/(r)."""
         return _gf_poly_inverse(u[: self.f], self.r, self.p) + [0] * (self.deg - self.f)
 
     def powi(self, x: LFElement, e: int) -> LFElement:
-        """x^e, as _poly_powmod: popcount(e) + bitlength(e) - 2 products
-        for e >= 1, and x itself for e = 1."""
+        """x^e by fl.power: popcount(e) + bitlength(e) - 2 products for
+        e >= 1, and x itself for e = 1."""
         if e < 0:
             return self.powi(self.inv(x), -e)
         if e == 0:
             return self.one
-        result = None
-        while True:
-            if e & 1:
-                result = x if result is None else self.mul(result, x)
-            e >>= 1
-            if not e:
-                return result
-            x = self.mul(x, x)
+        return fl.power(x, e, self.mul)
 
     def eq(self, x: LFElement, y: LFElement) -> bool:
         """Equality of values to the available precision."""
@@ -635,7 +606,7 @@ class LocalTower:
         reduces to 0 for k >= f)."""
         if x.is_zero or x.val != 0:
             raise ValueError("residue requires a valuation-zero unit")
-        if x.aprec is not None and x.aprec < self.e:
+        if x.aprec < self.e:
             raise PrecisionError("no full residue digit left")
         return tuple(map(self.p.__rmod__, x.unit[: self.f]))
 
@@ -644,17 +615,14 @@ class LocalTower:
     def _galois_setup(self, gen_image: list[int]):
         """Store sigma^k, k < p^n, for sigma(x) = gen_image; check its order."""
         p, d, mod = self.p, self.deg, self.modulus
-        width, _, slots = _reduction_table(self.fpoly, mod)
-        self._col_layout = (width, slots[:d])
-
         order = p**self.n
         images = [[0, 1] + [0] * (d - 2), gen_image]  # images[k] = g_k = sigma^k(x)
         self._sigma_cols = [None]  # sigma^0 is never applied
         for k in range(1, order):
             powers = [[1], images[k]]
             while len(powers) < d:
-                powers.append(_poly_mulmod(powers[-1], images[k], self.fpoly, mod))
-            self._sigma_cols.append([_pack(c, mod, width) for c in powers])
+                powers.append(_poly_mulmod(powers[-1], images[k], self.ring))
+            self._sigma_cols.append([_pack(c, mod, self.ring.width) for c in powers])
             images.append(self._compose(images[k], self._sigma_cols[1]))
 
         # the units sigma^k(pi)/pi: when pi = x they are g_k/x; pi = p is
@@ -679,19 +647,19 @@ class LocalTower:
             raise ValueError("non-cyclic configuration: generator order too small")
 
     def _compose(self, u, cols: list[int]) -> list[int]:
-        """u(g) mod (f, p^cp), for the packed columns cols of g's powers.
+        """u(g) in the tower's ring, for the packed columns cols of g's powers.
 
-        The fold of _poly_mulmod: each slot of the sum collects at most d
-        products of residues, below d(m-1)^2 < 2d(m-1)^2 + m, so no slot
-        overflows into the next."""
-        width, slots = self._col_layout
-        return _unpack(sum(map(operator.mul, u, cols)), self.modulus, width, slots)
+        The fold of _poly_mulmod, in the ring's layout: each slot of the
+        sum collects at most d products of residues, below
+        d(m-1)^2 < 2d(m-1)^2 + m, so no slot overflows into the next."""
+        ring = self.ring
+        return _unpack(sum(map(operator.mul, u, cols)), ring.m, ring.width, ring.slots[: ring.d])
 
     def _frobenius_root(self) -> list[int]:
         """Hensel-lifted Frobenius image of the unramified generator."""
         d, mod = self.deg, self.modulus
         w = [0, 1] + [0] * (d - 2)
-        r = self.from_poly(_poly_powmod(w, self.p, self.fpoly, mod))
+        r = self.from_poly(_poly_powmod(w, self.p, self.ring))
         deriv = [(k * c) % mod for k, c in enumerate(self.minpoly)][1:]
         for _ in range(max(3, math.ceil(math.log2(self.cp)) + 2)):
             fr = self._eval_intpoly(self.minpoly, r)
@@ -803,7 +771,7 @@ class LocalTower:
     def _residue_frob_inverse(self, residue):
         """delta with delta^p = residue in F_p[x]/(r): residue^(p^(f-1))."""
         p, f = self.p, self.f
-        out = _poly_powmod(list(residue), p ** (f - 1), self.r, p)
+        out = _poly_powmod(list(residue), p ** (f - 1), self._res_ring)
         return tuple(out + [0] * (f - len(out)))
 
     # -- p-th roots ----------------------------------------------------------------
@@ -820,7 +788,7 @@ class LocalTower:
             return self.zero
         if x.val % p:
             raise NotPthPower("valuation is not divisible by p")
-        unit = LFElement(0, x.unit, None if x.aprec is None else x.aprec - x.val)
+        unit = LFElement(0, x.unit, x.aprec - x.val)
         root = self.teichmuller(self._residue_frob_inverse(self.residue(unit)))
         bases: list[LFElement] = []
         coords, rest, lead = self.classes(self.n)._reduce(
@@ -941,7 +909,8 @@ class _LevelClasses:
         if unit.val != 0:
             raise AssertionError("p/pi_i^e_i is not a unit")
         eta = list(t.residue(unit))
-        eta_b = np.array([_poly_mulmod(eta, b, t.r, p) for b in self.res_basis], dtype=np.int64)
+        eta_b = np.array([_poly_mulmod(eta, b, t._res_ring) for b in self.res_basis],
+                         dtype=np.int64)
         return (self._frob_sub + eta_b.T[self.res_field.pivots]) % p
 
     def _free_map(self, j: int) -> Array | None:
@@ -967,7 +936,7 @@ class _LevelClasses:
         if diff.is_zero:
             return None, None
         s = t.level_val(self.i, diff)
-        gamma = t.residue(LFElement(0, diff.unit, None))
+        gamma = t.residue(LFElement(0, diff.unit))
         return s, self._res_coords(gamma)
 
     def _reduce(self, t: LocalTower, u: LFElement, bases: list | None = None):

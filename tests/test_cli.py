@@ -306,6 +306,32 @@ def test_synth_with_unwritable_sidecar_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new-datum", "old-datum"])
+def test_synth_removes_its_datum_when_the_sidecar_write_fails(tmp_path, capsys, monkeypatch,
+                                                               existed):
+    # a write that fails only at write time (a read-only directory, a
+    # full disk): the datum this run created goes, one that was there stays
+    import galmod.cli
+
+    out, side = tmp_path / "datum.json", tmp_path / "side.json"
+    if existed:
+        out.write_text("old\n")
+    write = galmod.cli._write
+
+    def failing(path, doc):
+        if path == str(side):
+            raise PermissionError(13, "Permission denied", path)
+        write(path, doc)
+
+    monkeypatch.setattr(galmod.cli, "_write", failing)
+    rc = main(["synth", "--p", "3", "--n", "1", "--e", "1,1", "--out", str(out),
+               "--sidecar", str(side)])
+    assert rc == 2
+    assert one_line(capsys.readouterr().err).startswith("cannot write output: ")
+    assert out.exists() == existed
+    assert not side.exists()
+
+
 # sha256 of the bytes each command writes: the README's synth example with
 # its sidecar, that datum decomposed to a file and to stdout, and a local
 # tower; JSON with indent 1 and one trailing newline throughout

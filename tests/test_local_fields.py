@@ -3,6 +3,7 @@
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -394,10 +395,11 @@ def test_poly_mulmod_matches_schoolbook(spec):
         mod_hi = tw.modulus * tw.p**widen
         moduli.append(([c % mod_hi for c in tw.minpoly], mod_hi))
     for f, m in moduli:
+        ring = lf._Ring(f, m)
         ops = [op for _ in range(3) for op in _operands(rng, d, m)]
         for a in ops:
             for b in rng.sample(ops, 6) + [a]:
-                assert lf._poly_mulmod(a, b, f, m) == schoolbook_mulmod(a, b, f, m)
+                assert lf._poly_mulmod(a, b, ring) == schoolbook_mulmod(a, b, f, m)
 
 
 def test_poly_mulmod_small_moduli():
@@ -407,12 +409,12 @@ def test_poly_mulmod_small_moduli():
             f = [rng.randrange(p) for _ in range(d)] + [1]
             a = [rng.randrange(-p, 2 * p) for _ in range(rng.randint(0, d))]
             b = [rng.randrange(p) for _ in range(rng.randint(0, d))]
-            assert lf._poly_mulmod(a, b, f, p) == schoolbook_mulmod(a, b, f, p)
+            assert lf._poly_mulmod(a, b, lf._Ring(f, p)) == schoolbook_mulmod(a, b, f, p)
 
 
 def test_poly_mulmod_refuses_long_operands():
     with pytest.raises(ValueError):
-        lf._poly_mulmod([1, 2, 3, 4], [1], [1, 0, 1], 7)
+        lf._poly_mulmod([1, 2, 3, 4], [1], lf._Ring([1, 0, 1], 7))
 
 
 def schoolbook_powmod(a, e, f, m):
@@ -441,12 +443,12 @@ def test_poly_powmod_matches_the_square_and_multiply_loop(spec, monkeypatch):
     mulmod = lf._poly_mulmod
     monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
     for f, m in moduli:
-        d = len(f) - 1
+        d, ring = len(f) - 1, lf._Ring(f, m)
         for a in ([rng.randrange(m) for _ in range(d)],
                   [rng.randrange(-3 * m, 3 * m) for _ in range(rng.randint(1, d))]):
             for e in range(41):
                 products.clear()
-                assert lf._poly_powmod(a, e, f, m) == schoolbook_powmod(a, e, f, m)
+                assert lf._poly_powmod(a, e, ring) == schoolbook_powmod(a, e, f, m)
                 assert len(products) == max(0, e.bit_length() + bin(e).count("1") - 2)
 
 
@@ -498,10 +500,11 @@ def test_strip_tables_match_the_p_over_pi_power(spec):
         k = -(-t // tw.e)
         wide = tw.modulus * p**t
         f = [x % wide for x in tw.minpoly]
-        q_wide = lf._poly_powmod([x % wide for x in p_over_pi(tw)], t, f, wide)
+        q_wide = lf._poly_powmod([x % wide for x in p_over_pi(tw)], t, lf._Ring(f, wide))
         q = lf._poly_trim([x // p ** (t - k) for x in q_wide])
         mod_k = tw.modulus * p**k
-        assert tw._strip_table(t) == (mod_k, [x % mod_k for x in tw.minpoly], q, p**k)
+        ring, q_k, pk = tw._strip_table(t)
+        assert (ring.m, ring.f, q_k, pk) == (mod_k, [x % mod_k for x in tw.minpoly], q, p**k)
     # past k = cp no nonzero polynomial mod p^cp is divisible by pi^t
     with pytest.raises(PrecisionError):
         tw._strip_table(tw.e * tw.cp + 1)
@@ -582,6 +585,68 @@ def test_build_datum_takes_each_top_norm_once(spec, monkeypatch):
     assert len(classes) == columns + 2 * n * tw.xi_in_F
 
 
+def irreducible_by_trial_division(f, p):
+    """No monic factor of degree at most deg f / 2 divides f over F_p."""
+    d = len(f) - 1
+    for k in range(1, d // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            if not lf._gf_poly_divmod(f, list(tail) + [1], p)[1]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "p, d", [(p, d) for p, top in ((2, 4), (3, 4), (5, 3)) for d in range(1, top + 1)],
+    ids=lambda v: str(v),
+)
+def test_gf_irreducible_matches_trial_division(p, d):
+    found = 0
+    for tail in itertools.product(range(p), repeat=d):
+        f = list(tail) + [1]
+        irreducible = lf._gf_irreducible(f, p)
+        assert irreducible == irreducible_by_trial_division(f, p), f
+        found += irreducible
+    # Gauss: sum over k | d of mu(k) p^(d/k), over d, monic irreducibles
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    assert found == sum(mu * p ** (d // k) for k, mu in mobius.items() if d % k == 0) // d
+
+
+@pytest.mark.parametrize(
+    "spec", [(3, "cyclotomic", 2, 100), (5, "unramified", 1, 28)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_precision_bookkeeping(spec):
+    tw = make_tower(*spec)
+    cap = tw.rel_cap
+    rng = random.Random(repr(spec))
+    sample = [tw.one, tw.pi]
+    sample += [tw.mul(_seeded_unit(tw, rng), tw.powi(tw.pi, v)) for v in (0, 1, -2, 5)]
+    # an add that cancels k pi-digits is known to the operands' bound
+    for x in sample[2:]:
+        v = x.val
+        assert x.aprec == v + cap
+        assert tw.add(x, tw.neg(x)) == lf.LFElement(0, None, v + cap)
+        for k in (1, 2, tw.e, tw.e + 1, 3 * tw.e + 2):
+            tail = tw.mul(_seeded_unit(tw, rng), tw.powi(tw.pi, v + k))
+            y = tw.add(tw.neg(x), tail)
+            assert (y.val, y.aprec) == (v, v + cap)
+            s = tw.add(x, y)
+            assert (s.val, s.aprec) == (v + k, v + cap)
+            assert tw.eq(s, tail)
+    # zero is neutral for add, and a product with zero is an exact zero
+    for x in sample:
+        assert tw.add(x, tw.zero) == x and tw.add(tw.zero, x) == x
+        assert tw.mul(x, tw.zero) == tw.zero and tw.mul(tw.zero, x) == tw.zero
+    assert tw.add(tw.zero, tw.zero) == tw.zero and tw.mul(tw.zero, tw.zero) == tw.zero
+    # one and pi act as the same values known to val + rel_cap
+    for a in (tw.one, tw.pi):
+        capped = lf.LFElement(a.val, a.unit, a.val + cap)
+        assert tw.inv(a) == tw.inv(capped)
+        for b in sample:
+            assert tw.add(a, b) == tw.add(capped, b) and tw.add(b, a) == tw.add(b, capped)
+            assert tw.mul(a, b) == tw.mul(capped, b) and tw.mul(b, a) == tw.mul(b, capped)
+
+
 @pytest.mark.parametrize(
     "spec", [(3, "unramified", 1, 40), (5, "unramified", 1, 28), (5, "cyclotomic", 1, 104)]
 )
@@ -594,7 +659,7 @@ def test_residue_inverse_matches_power_form(spec):
         u = [rng.randrange(p) for _ in range(d)]
         if not any(u[: tw.f]):
             continue
-        power = lf._poly_powmod(u[: tw.f], p**tw.f - 2, tw.r, p)
+        power = lf._poly_powmod(u[: tw.f], p**tw.f - 2, lf._Ring(tw.r, p))
         assert tw._residue_inverse(u) == power + [0] * (d - len(power))
         # lifted coefficients reduce to the same residue
         assert tw._residue_inverse([c + p * rng.randrange(5) for c in u]) == tw._residue_inverse(u)
