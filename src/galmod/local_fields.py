@@ -21,24 +21,32 @@ An element is a value (val, unit, aprec) in the top field K: the
 floating form pi^val * unit, the unit being a polynomial in x with
 coefficients modulo p^cp, and an absolute precision bound aprec (in
 pi-digits, inf when exact): the represented value is guaranteed modulo
-pi^aprec.  The tower does all arithmetic on elements, and nothing it
-keeps refers back to it.  Addition that cancels past the bound collapses
-to an exact zero-at-precision, which is what equality tests consume.
-The generator x is pi or a unit, so valuations read off coefficients
-exactly.
+pi^aprec.  cp = ceil(precision/e) + floor(p/(p-1)) p-adic digits: the
+asked pi-digits, and the floor(jstar/e) digits that the critical level
+jstar = pe/(p-1) spans past them.  A class walk that reads u - 1 as zero
+when that zero is known to fewer pi-digits than jstar needs raises
+PrecisionError.  The tower does all arithmetic on elements, and nothing
+it keeps refers back to it.  Addition that cancels past the bound
+collapses to an exact zero-at-precision, which is what equality tests
+consume.  The generator x is pi or a unit, so valuations read off
+coefficients exactly.
 
-Unit arithmetic is polynomial multiplication in a ring (Z/m)[x]/(f).
-``_poly_mulmod`` packs each operand into one integer with byte-aligned
+Unit arithmetic is polynomial multiplication in a ring (Z/m)[x]/(f) of
+degree d.  While d(m-1)^2 < 2^63, ``_poly_mulmod`` convolves the
+residues in int64 and folds the high half back with one int64 product
+by the table of x^k mod f; no value then exceeds d(m-1)^2.  Past that
+bound it packs each operand into one integer with byte-aligned
 coefficient slots wide enough that no slot overflows (Kronecker
 substitution), does one big-integer multiply, and folds the high half
-back with packed rows of x^k mod f.  A ``_Ring`` holds that layout and
-those rows; whoever multiplies modulo (f, m) builds the ring once and
-keeps it.  A tower keeps one ring per modulus it uses: p^cp, each
-widened modulus p^(cp+k) of ``_strip`` (p^(2cp) among them), and
-F_p[x]/(r) for residues.  Each tower caches the uniformizer powers its
-valuation machinery reuses: the multiplier p^k / pi^t, k = ceil(t/e),
-that ``_strip`` divides by pi^t with, and pi^delta for ``_shift``.  The
-multiplier is 1 when pi = p; when pi = x, pi^e = p*u for the unit
+back with packed rows of x^k mod f.  A ``_Ring`` checks the bound once
+and holds the table, or that layout and those rows; whoever multiplies
+modulo (f, m) builds the ring once and keeps it.  A tower keeps one
+ring per modulus it uses: p^cp, each widened modulus p^(cp+k) of
+``_strip`` (p^(2cp) among them), and F_p[x]/(r) for residues.  Each
+tower caches the uniformizer powers its valuation machinery reuses: the
+multiplier p^k / pi^t, k = ceil(t/e), that ``_strip`` divides by pi^t
+with, and pi^delta for ``_shift``.  The multiplier is 1 when pi = p;
+when pi = x, pi^e = p*u for the unit
 u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the Eisenstein polynomial, and
 it is x^s * u^-k, s = ke - t, from powers of u^-1 kept per tower.  ``inv``
 runs Newton's iteration v -> v(2 - uv) and stops once uv = 1, where
@@ -50,8 +58,8 @@ schoolbook product gives.
 sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
 the Hensel-lifted Frobenius root.  Each sigma^k is stored as the packed
 columns g_k^j, j < d, where g_k = sigma^k(x) = sigma(g_(k-1)); it is
-applied to a unit by the fold of ``_poly_mulmod``, and the order p^n of
-sigma is checked on g_k alone.
+applied to a unit by the packed fold, and the order p^n of sigma is
+checked on g_k - x alone, at its tracked precision in pi-digits.
 
 Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
@@ -120,41 +128,70 @@ def _unpack(packed: int, m: int, width: int, slots: list[slice]) -> list[int]:
 class _Ring:
     """(Z/m)[x]/(f) for monic f of degree d, laid out for _poly_mulmod.
 
-    A coefficient takes a byte slot of the given width, wide enough that
-    no slot of a product overflows: a slot ends below 2d(m-1)^2 + m, at
-    most d products of residues plus d-1 reduction terms of a residue
-    times a row entry.  rows[k] is x^(d+k) mod f packed, k < d-1, and
-    slots[k] the bytes of slot k, k < 2d-1.  Whoever multiplies modulo
-    (f, m) builds the ring once and keeps it.
+    While d(m-1)^2 < 2^63, table is the int64 (d-1) x d matrix whose row
+    k is x^(d+k) mod f, and products run in int64.  Past that bound table
+    is None, and products are packed: a coefficient takes a byte slot of
+    the given width, wide enough that no slot of a product overflows (a
+    slot ends below 2d(m-1)^2 + m, at most d products of residues plus
+    d-1 reduction terms of a residue times a row entry), rows[k] is
+    x^(d+k) mod f packed, k < d-1, and slots[k] the bytes of slot k,
+    k < 2d-1.  Whoever multiplies modulo (f, m) builds the ring once and
+    keeps it.
     """
 
-    __slots__ = ("f", "m", "d", "width", "rows", "slots")
+    __slots__ = ("f", "m", "d", "width", "table", "rows", "slots")
 
     def __init__(self, f: list[int], m: int):
         self.f, self.m, self.d = [c % m for c in f], m, len(f) - 1
         d, f = self.d, self.f
         self.width = width = (2 * d * (m - 1) ** 2 + m).bit_length() // 8 + 1
-        self.rows = []
+        reductions = []
         row = [(-c) % m for c in f[:d]]  # x^d
         for _ in range(d - 1):
-            self.rows.append(_pack(row, m, width))
+            reductions.append(row)
             top = row[-1]
             row = [(-top * f[0]) % m] + [(row[j - 1] - top * f[j]) % m for j in range(1, d)]
+        self.table = self.rows = None
+        if d * (m - 1) ** 2 < fl._INT64_EXACT:
+            self.table = np.array(reductions, dtype=np.int64).reshape(d - 1, d)
+        else:
+            self.rows = [_pack(row, m, width) for row in reductions]
         self.slots = [slice(k * width, (k + 1) * width) for k in range(2 * d - 1)]
+
+
+def _int64_residues(a, m: int):
+    """a mod m as an int64 array; entries too large for int64 are reduced
+    first, as _pack reduces them."""
+    try:
+        return np.array(a, dtype=np.int64) % m
+    except OverflowError:
+        return np.array([c % m for c in a], dtype=np.int64)
 
 
 def _poly_mulmod(a: list[int], b: list[int], ring: _Ring) -> list[int]:
     """a*b in the ring; inputs of length at most its degree d.
 
-    Both operands are packed into one integer each (Kronecker
-    substitution), multiplied once, and the product's coefficients of
-    degree >= d are folded back with the ring's packed rows of x^k mod f.
+    Under the ring's int64 bound the residues are convolved in int64 and
+    the coefficients of degree >= d, reduced mod m, are folded back by one
+    product with the table of x^k mod f: every value stays at most
+    d(m-1)^2 < 2^63.  Past the bound both operands are packed into one
+    integer each (Kronecker substitution), multiplied once, and the high
+    coefficients are folded back with the ring's packed rows.
     """
     d, m, width = ring.d, ring.m, ring.width
     if not a or not b:
         return [0] * d
     if len(a) > d or len(b) > d:
         raise ValueError("operand longer than deg f")
+    if ring.table is not None:
+        va = _int64_residues(a, m)
+        prod = np.convolve(va, va if b is a else _int64_residues(b, m))
+        prod %= m
+        low = prod[:d]
+        if len(prod) > d:
+            low += prod[d:] @ ring.table[: len(prod) - d]
+            low %= m
+        return low.tolist() + [0] * (d - len(low))
     pa = _pack(a, m, width)
     prod = pa * (pa if b is a else _pack(b, m, width))
     high = len(a) + len(b) - 1 - d
@@ -362,8 +399,9 @@ class LocalTower:
             raise PrecisionError(f"precision {precision} pi-digits below the threshold {m_min}")
         if precision > bound:
             raise PrecisionError(f"precision {precision} pi-digits above the bound {bound}")
-        self.pi_prec = precision
-        self.cp = math.ceil(precision / self.e) + (p * self.e) // (p - 1) // self.e + 10
+        # the asked digits, and the floor(jstar/e) = floor(p/(p-1)) p-adic
+        # digits that the critical level jstar = pe/(p-1) spans past them
+        self.cp = math.ceil(precision / self.e) + p // (p - 1)
         self.modulus = p**self.cp
         self.rel_cap = self.e * self.cp  # representable relative precision
 
@@ -634,24 +672,21 @@ class LocalTower:
                 raise ValueError("generator image is not a uniformizer")
             self._sigma_pi_units = [LFElement(0, u.unit) for u in units]
         # exact order: sigma^(p^n) = 1 and sigma^(p^(n-1)) != 1, read on x
-        # as sigma^k(x^j) = g_k^j.  Hensel-lifted coefficients are exact
-        # only to about cp digits, so compare a few digits below the cap.
-        slack = p ** max(1, self.cp - 4)
-
-        def moves_x(g):
-            return any((a - b) % mod % slack for a, b in zip(g, images[0]))
-
-        if moves_x(images[order]):
+        # as sigma^k(x^j) = g_k^j; g_k - x is compared at its tracked
+        # precision in pi-digits
+        x = self.from_poly(images[0])
+        if not self.eq(self.from_poly(images[order]), x):
             raise ValueError("generator does not have order p^n")
-        if not moves_x(images[order // p]):
+        if self.eq(self.from_poly(images[order // p]), x):
             raise ValueError("non-cyclic configuration: generator order too small")
 
     def _compose(self, u, cols: list[int]) -> list[int]:
         """u(g) in the tower's ring, for the packed columns cols of g's powers.
 
-        The fold of _poly_mulmod, in the ring's layout: each slot of the
-        sum collects at most d products of residues, below
-        d(m-1)^2 < 2d(m-1)^2 + m, so no slot overflows into the next."""
+        The packed fold of _poly_mulmod, in the ring's byte layout, on
+        either side of its int64 bound: each slot of the sum collects at
+        most d products of residues, below d(m-1)^2 < 2d(m-1)^2 + m, so no
+        slot overflows into the next."""
         ring = self.ring
         return _unpack(sum(map(operator.mul, u, cols)), ring.m, ring.width, ring.slots[: ring.d])
 
@@ -931,9 +966,15 @@ class _LevelClasses:
         return t.add(t.one, t.mul(lift, t.powi(self.pi_i, texp)))
 
     def _leading(self, t: LocalTower, u: LFElement):
-        """(filtration level, leading coords) of a 1-unit, or (None, None)."""
+        """(filtration level, leading coords) of a 1-unit, or (None, None)
+        when u - 1 is zero past jstar; a zero known to fewer pi-digits
+        cannot tell and raises PrecisionError."""
         diff = t.add(u, t.neg(t.one))
         if diff.is_zero:
+            if diff.aprec < (self.jstar + 1) * t.level_rel_e[self.i]:
+                raise PrecisionError(
+                    f"u - 1 is zero only to {diff.aprec} pi-digits, short of jstar"
+                )
             return None, None
         s = t.level_val(self.i, diff)
         gamma = t.residue(LFElement(0, diff.unit))

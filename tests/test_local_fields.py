@@ -270,6 +270,16 @@ def test_precision_stability(cyclo3_1):
     assert base == higher
 
 
+def test_class_of_refuses_a_one_unit_known_short_of_jstar(cyclo3_1):
+    # 1 known to e + 1 pi-digits: u - 1 reads zero, but jstar = 9 at level
+    # 1 needs 10 digits to tell a class from the p-th powers
+    tw = cyclo3_1
+    x = lf.LFElement(0, tw._unit_one, tw.e + 1)
+    with pytest.raises(PrecisionError):
+        tw.class_of(1, x)
+    assert not np.any(tw.class_of(1, lf.LFElement(0, tw._unit_one, 10)))
+
+
 def test_root_norm_identity_fixed_alpha(cyclo3_1):
     tw = cyclo3_1
     ok = root_norm_crosscheck(tw, tw.from_int(7), tw.one, tw.one, 0)
@@ -315,6 +325,7 @@ CLOSED_FORM_DIMS = {
     (3, "unramified", 2, 28): 10,
     (5, "unramified", 2, 28): 26,
     (7, "cyclotomic", 1, 192): 44,
+    (3, "cyclotomic", 3, 240): 56,
 }
 
 
@@ -399,6 +410,24 @@ def test_poly_mulmod_matches_schoolbook(spec):
         ops = [op for _ in range(3) for op in _operands(rng, d, m)]
         for a in ops:
             for b in rng.sample(ops, 6) + [a]:
+                assert lf._poly_mulmod(a, b, ring) == schoolbook_mulmod(a, b, f, m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17])
+def test_poly_mulmod_int64_and_packed_paths_at_the_bound(d):
+    # m - 1 = isqrt((2^63 - 1) // d) is the largest m with d(m-1)^2 < 2^63:
+    # its ring multiplies in int64, the ring of m + 1 packs
+    rng = random.Random(d)
+    below = math.isqrt((2**63 - 1) // d) + 1
+    for m, int64 in ((below - 1, True), (below, True), (below + 1, False), (below + 2, False)):
+        assert (d * (m - 1) ** 2 < 2**63) == int64
+        f = [rng.randrange(m) for _ in range(d)] + [1]
+        ring = lf._Ring(f, m)
+        assert (ring.table is not None) == int64
+        ops = [op for _ in range(2) for op in _operands(rng, d, m)]
+        ops.append([rng.randrange(-(2**70), 2**70) for _ in range(d)])  # past int64
+        for a in ops:
+            for b in rng.sample(ops, 5) + [a]:
                 assert lf._poly_mulmod(a, b, ring) == schoolbook_mulmod(a, b, f, m)
 
 
@@ -761,12 +790,33 @@ LOCAL_DIGESTS = {
     (3, "unramified", 2, 28): "36ed02d411fc2bac23c6d8afe98042b0621b8bfd97e81d07c6f75a10702c009b",
     (5, "unramified", 2, 28): "298d33d86a8d5ee575fea7aa3a852cb2ed1c1eb1161d3a2f5d60e1b8acfd91f1",
     (7, "cyclotomic", 1, 192): "4b6b2f00e424b08038d0df673fdbc752bc28b4ce654ab240b7e0f7162b211cc3",
+    (3, "cyclotomic", 3, 240): "6385c3a483fbed8d84aa0e87e895abe6112c2fbe7b26f44115dec893e46e9475",
 }
 
 
 @pytest.mark.parametrize("spec", list(LOCAL_DIGESTS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_local_datum_json_is_pinned(spec):
     text = json.dumps(datum_to_json(tower_datum(spec)[1]), indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_DIGESTS[spec]
+
+
+def ramification_index(p, kind, n):
+    if kind == "unramified":
+        return 1
+    return 2 ** (n + 1) if p == 2 else p**n * (p - 1)
+
+
+@pytest.mark.parametrize("spec", list(LOCAL_DIGESTS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_local_datum_at_the_threshold_precision_is_pinned(spec):
+    # the lowest precision a tower accepts, m_min = e*ceil(p/(p-1)) + e + 8,
+    # passes every check the constructor makes and gives the same datum
+    p, kind, n = spec[:3]
+    e = ramification_index(p, kind, n)
+    m_min = e * math.ceil(p / (p - 1)) + e + 8
+    with pytest.raises(PrecisionError):
+        make_tower(p, kind, n, m_min - 1)
+    d = build_datum(make_tower(p, kind, n, m_min))
+    text = json.dumps(datum_to_json(d), indent=1) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_DIGESTS[spec]
 
 
