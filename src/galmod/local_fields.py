@@ -32,34 +32,33 @@ consume.  The generator x is pi or a unit, so valuations read off
 coefficients exactly.
 
 Unit arithmetic is polynomial multiplication in a ring (Z/m)[x]/(f) of
-degree d.  While d(m-1)^2 < 2^63, ``_poly_mulmod`` convolves the
-residues in int64 and folds the high half back with one int64 product
-by the table of x^k mod f; no value then exceeds d(m-1)^2.  Past that
-bound it packs each operand into one integer with byte-aligned
-coefficient slots wide enough that no slot overflows (Kronecker
-substitution), does one big-integer multiply, and folds the high half
-back with packed rows of x^k mod f.  A ``_Ring`` checks the bound once
-and holds the table, or that layout and those rows; whoever multiplies
-modulo (f, m) builds the ring once and keeps it.  A tower keeps one
-ring per modulus it uses: p^cp, each widened modulus p^(cp+k) of
-``_strip`` (p^(2cp) among them), and F_p[x]/(r) for residues.  Each
-tower caches the uniformizer powers its valuation machinery reuses: the
-multiplier p^k / pi^t, k = ceil(t/e), that ``_strip`` divides by pi^t
-with, and pi^delta for ``_shift``.  The multiplier is 1 when pi = p;
-when pi = x, pi^e = p*u for the unit
+degree d.  ``_poly_mulmod`` convolves the residues, reduces mod m, and
+folds the high half back with one product by the table of x^k mod f; no
+value then exceeds d(m-1)^2.  A ``_Ring`` checks the bound
+d(m-1)^2 < 2^63 once and holds the table in int64 under it and in Python
+ints (dtype object) past it, and the same steps run in that dtype; whoever
+multiplies modulo (f, m) builds the ring once and keeps it.  A tower
+keeps one ring per modulus it uses: p^cp, each widened modulus
+p^(cp+k) of ``_strip`` when pi = x (p^(2cp) among them), and F_p[x]/(r)
+for residues.  Each tower caches the uniformizer powers its valuation
+machinery reuses: the multiplier p^k / pi^t, k = ceil(t/e), that
+``_strip`` divides by pi^t with, and pi^delta for ``_shift``.  When
+pi = p, ``_strip`` divides by p^t directly, with no multiplier; when
+pi = x, pi^e = p*u for the unit
 u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the Eisenstein polynomial, and
-it is x^s * u^-k, s = ke - t, from powers of u^-1 kept per tower.  ``inv``
-runs Newton's iteration v -> v(2 - uv) and stops once uv = 1, where
-further rounds leave v unchanged.  ``powi`` and ``_poly_powmod`` square
-and multiply by ``fl.power``, with no product by one and no square after
-the top bit.  All of this is exact: results are the same residues the
-schoolbook product gives.
+the multiplier is x^s * u^-k, s = ke - t, from powers of u^-1 kept per
+tower.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops once
+uv = 1, where further rounds leave v unchanged.  ``powi`` and
+``_poly_powmod`` square and multiply by ``fl.power``, with no product by
+one and no square after the top bit.  All of this is exact: results are
+the same residues the schoolbook product gives.
 
 sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
-the Hensel-lifted Frobenius root.  Each sigma^k is stored as the packed
-columns g_k^j, j < d, where g_k = sigma^k(x) = sigma(g_(k-1)); it is
-applied to a unit by the packed fold, and the order p^n of sigma is
-checked on g_k - x alone, at its tracked precision in pi-digits.
+the Hensel-lifted Frobenius root.  Each sigma^k is stored as the d x d
+matrix, in the ring's dtype, whose column j is g_k^j, where
+g_k = sigma^k(x) = sigma(g_(k-1)); it is applied to a unit as one
+matrix-vector product mod m, and the order p^n of sigma is checked on
+g_k - x alone, at its tracked precision in pi-digits.
 
 Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
@@ -75,10 +74,9 @@ the p-th root of the deep remainder (``_deep_root``).
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -111,95 +109,58 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _pack(c, m: int, width: int) -> int:
-    """Kronecker packing: c_k mod m into byte slot k of one integer."""
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, map(m.__rmod__, c), repeat(width), repeat("little"))),
-        "little",
-    )
-
-
-def _unpack(packed: int, m: int, width: int, slots: list[slice]) -> list[int]:
-    """The coefficients mod m held in the given byte slots of packed."""
-    raw = packed.to_bytes(width * len(slots), "little")
-    return list(map(m.__rmod__, map(int.from_bytes, map(raw.__getitem__, slots), repeat("little"))))
-
-
 class _Ring:
     """(Z/m)[x]/(f) for monic f of degree d, laid out for _poly_mulmod.
 
-    While d(m-1)^2 < 2^63, table is the int64 (d-1) x d matrix whose row
-    k is x^(d+k) mod f, and products run in int64.  Past that bound table
-    is None, and products are packed: a coefficient takes a byte slot of
-    the given width, wide enough that no slot of a product overflows (a
-    slot ends below 2d(m-1)^2 + m, at most d products of residues plus
-    d-1 reduction terms of a residue times a row entry), rows[k] is
-    x^(d+k) mod f packed, k < d-1, and slots[k] the bytes of slot k,
-    k < 2d-1.  Whoever multiplies modulo (f, m) builds the ring once and
-    keeps it.
+    table is the (d-1) x d matrix whose row k is x^(d+k) mod f.  Its
+    dtype is int64 while d(m-1)^2 < 2^63, and object (Python ints) past
+    that bound; arithmetic in the ring runs in that dtype.  Whoever
+    multiplies modulo (f, m) builds the ring once and keeps it.
     """
-
-    __slots__ = ("f", "m", "d", "width", "table", "rows", "slots")
 
     def __init__(self, f: list[int], m: int):
         self.f, self.m, self.d = [c % m for c in f], m, len(f) - 1
         d, f = self.d, self.f
-        self.width = width = (2 * d * (m - 1) ** 2 + m).bit_length() // 8 + 1
         reductions = []
         row = [(-c) % m for c in f[:d]]  # x^d
         for _ in range(d - 1):
             reductions.append(row)
             top = row[-1]
             row = [(-top * f[0]) % m] + [(row[j - 1] - top * f[j]) % m for j in range(1, d)]
-        self.table = self.rows = None
-        if d * (m - 1) ** 2 < fl._INT64_EXACT:
-            self.table = np.array(reductions, dtype=np.int64).reshape(d - 1, d)
-        else:
-            self.rows = [_pack(row, m, width) for row in reductions]
-        self.slots = [slice(k * width, (k + 1) * width) for k in range(2 * d - 1)]
+        dtype = np.int64 if d * (m - 1) ** 2 < fl._INT64_EXACT else object
+        self.table = np.array(reductions, dtype=dtype).reshape(d - 1, d)
 
-
-def _int64_residues(a, m: int):
-    """a mod m as an int64 array; entries too large for int64 are reduced
-    first, as _pack reduces them."""
-    try:
-        return np.array(a, dtype=np.int64) % m
-    except OverflowError:
-        return np.array([c % m for c in a], dtype=np.int64)
+    def residues(self, a):
+        """a mod m as an array of the table's dtype; int64 entries too
+        large for int64 are reduced first."""
+        try:
+            return np.array(a, dtype=self.table.dtype) % self.m
+        except OverflowError:
+            return np.array([c % self.m for c in a], dtype=self.table.dtype)
 
 
 def _poly_mulmod(a: list[int], b: list[int], ring: _Ring) -> list[int]:
     """a*b in the ring; inputs of length at most its degree d.
 
-    Under the ring's int64 bound the residues are convolved in int64 and
-    the coefficients of degree >= d, reduced mod m, are folded back by one
-    product with the table of x^k mod f: every value stays at most
-    d(m-1)^2 < 2^63.  Past the bound both operands are packed into one
-    integer each (Kronecker substitution), multiplied once, and the high
-    coefficients are folded back with the ring's packed rows.
+    The residues are convolved in the ring's dtype, reduced mod m, and
+    the coefficients of degree >= d are folded back by one product with
+    the table of x^k mod f.  No value exceeds d(m-1)^2, so under the
+    ring's bound every step is exact in int64; past it the same steps run
+    on Python integers.
     """
-    d, m, width = ring.d, ring.m, ring.width
+    d, m = ring.d, ring.m
     if not a or not b:
         return [0] * d
     if len(a) > d or len(b) > d:
         raise ValueError("operand longer than deg f")
-    if ring.table is not None:
-        va = _int64_residues(a, m)
-        prod = np.convolve(va, va if b is a else _int64_residues(b, m))
-        prod %= m
-        low = prod[:d]
-        if len(prod) > d:
-            low += prod[d:] @ ring.table[: len(prod) - d]
-            low %= m
-        return low.tolist() + [0] * (d - len(low))
-    pa = _pack(a, m, width)
-    prod = pa * (pa if b is a else _pack(b, m, width))
-    high = len(a) + len(b) - 1 - d
-    if high > 0:
-        low_bits = 8 * width * d
-        coeffs = _unpack(prod >> low_bits, m, width, ring.slots[:high])
-        prod = sum(map(operator.mul, coeffs, ring.rows), prod & ((1 << low_bits) - 1))
-    return _unpack(prod, m, width, ring.slots[:d])
+    va = ring.residues(a)
+    prod = np.convolve(va, va if b is a else ring.residues(b))
+    prod %= m
+    low = prod[:d]
+    if len(prod) > d:
+        low += prod[d:] @ ring.table[: len(prod) - d]
+        low %= m
+    return low.tolist() + [0] * (d - len(low))
 
 
 def _poly_powmod(a: list[int], e: int, ring: _Ring) -> list[int]:
@@ -312,8 +273,8 @@ def _find_unramified_poly(p: int, d: int) -> list[int]:
     """Deterministic monic irreducible of degree d over F_p, lifted to Z."""
     if d == 1:
         return [1, 1]
-    for width in range(2, d + 1):
-        for tail in product(range(p), repeat=width):
+    for terms in range(2, d + 1):
+        for tail in product(range(p), repeat=terms):
             if tail[0] == 0:
                 continue
             f = [0] * d + [1]
@@ -420,15 +381,17 @@ class LocalTower:
             self._pi_unit = [(-c) // p for c in self.minpoly[:-1]]
 
         # the rings (Z/p^(cp+k))[x]/(minpoly) by k, each built on first
-        # use: k = 0 for the tower's own arithmetic, 0 < k <= cp for
-        # _strip, and k = cp (modulus p^(2cp)) for the powers of u^-1
+        # use: k = 0 for the tower's own arithmetic and, when pi = x,
+        # 0 < k <= cp for _strip and k = cp (modulus p^(2cp)) for the
+        # powers of u^-1
         self._rings: dict[int, _Ring] = {}
         self.ring = self._ring(0)
         self.fpoly = self.ring.f
         self._res_ring = _Ring(self.r, p)  # F_p[x]/(r)
         # per-tower powers of the uniformizer: t -> (ring mod p^(cp+k),
         # p^k / pi^t in it, p^k) for _strip, built from u^-k mod p^(2cp)
-        # (index k); delta -> pi^delta for _shift
+        # (index k), or (None, None, p^k) when pi = p; delta -> pi^delta
+        # for _shift
         self._strip_tables: dict[int, tuple] = {}
         self._unit_inv_powers: list[list[int] | None] = []
         self._shift_powers: dict[int, list[int]] = {}
@@ -519,7 +482,7 @@ class LocalTower:
 
         Multiplies by q = p^k / pi^t, integral for k = ceil(t/e), modulo
         the enlarged modulus p^(cp+k), so the quotient c*q / p^k keeps cp
-        digits.  When pi = p, q = 1.
+        digits.  When pi = p, q = 1, and c is divided by p^k directly.
         """
         if t == 0:
             return list(c)
@@ -527,13 +490,14 @@ class LocalTower:
         if table is None:
             table = self._strip_tables[t] = self._strip_table(t)
         ring, q, pk = table
-        acc = _poly_mulmod(c, q, ring)
+        acc = c if q is None else _poly_mulmod(c, q, ring)
         if any(x % pk for x in acc):
             raise PrecisionError("strip below the honest valuation")
         return [(x // pk) % self.modulus for x in acc]
 
     def _strip_table(self, t: int) -> tuple:
-        """(ring mod p^(cp+k), q = p^k / pi^t in it, p^k), k = ceil(t/e).
+        """(ring mod p^(cp+k), q = p^k / pi^t in it, p^k), k = ceil(t/e);
+        (None, None, p^k) when pi = p, where q = 1 needs no ring.
 
         When pi = x, pi^e = p*u, so q = x^s * u^-k for s = ke - t: one
         product, and one more for each new power u^-k, taken from u^-1
@@ -544,9 +508,9 @@ class LocalTower:
         k = -(-t // e)
         if k > self.cp:
             raise PrecisionError("strip below the honest valuation")
-        ring = self._ring(k)
         if self._pi_unit is None:
-            return ring, [1], p**k
+            return None, None, p**k
+        ring = self._ring(k)
         wide = self._ring(self.cp)
         powers = self._unit_inv_powers
         if not powers:
@@ -652,16 +616,16 @@ class LocalTower:
 
     def _galois_setup(self, gen_image: list[int]):
         """Store sigma^k, k < p^n, for sigma(x) = gen_image; check its order."""
-        p, d, mod = self.p, self.deg, self.modulus
+        p, d, ring = self.p, self.deg, self.ring
         order = p**self.n
         images = [[0, 1] + [0] * (d - 2), gen_image]  # images[k] = g_k = sigma^k(x)
-        self._sigma_cols = [None]  # sigma^0 is never applied
+        self._sigma = [None]  # sigma^0 is never applied
         for k in range(1, order):
-            powers = [[1], images[k]]
+            powers = [[1] + [0] * (d - 1), images[k]]
             while len(powers) < d:
-                powers.append(_poly_mulmod(powers[-1], images[k], self.ring))
-            self._sigma_cols.append([_pack(c, mod, self.ring.width) for c in powers])
-            images.append(self._compose(images[k], self._sigma_cols[1]))
+                powers.append(_poly_mulmod(powers[-1], images[k], ring))
+            self._sigma.append(np.array(powers, dtype=ring.table.dtype).T)
+            images.append(self._compose(images[k], self._sigma[1]))
 
         # the units sigma^k(pi)/pi: when pi = x they are g_k/x; pi = p is
         # fixed by sigma, and galois then has nothing to multiply by
@@ -680,15 +644,14 @@ class LocalTower:
         if self.eq(self.from_poly(images[order // p]), x):
             raise ValueError("non-cyclic configuration: generator order too small")
 
-    def _compose(self, u, cols: list[int]) -> list[int]:
-        """u(g) in the tower's ring, for the packed columns cols of g's powers.
+    def _compose(self, u, sigma) -> list[int]:
+        """u(g) in the tower's ring, for sigma the matrix whose column j is g^j.
 
-        The packed fold of _poly_mulmod, in the ring's byte layout, on
-        either side of its int64 bound: each slot of the sum collects at
-        most d products of residues, below d(m-1)^2 < 2d(m-1)^2 + m, so no
-        slot overflows into the next."""
+        Each entry of sigma @ u sums d products of residues, at most
+        d(m-1)^2: exact in int64 under the ring's bound, and in Python
+        ints past it."""
         ring = self.ring
-        return _unpack(sum(map(operator.mul, u, cols)), ring.m, ring.width, ring.slots[: ring.d])
+        return (sigma @ ring.residues(u) % ring.m).tolist()
 
     def _frobenius_root(self) -> list[int]:
         """Hensel-lifted Frobenius image of the unramified generator."""
@@ -722,7 +685,7 @@ class LocalTower:
         k %= self.p**self.n
         if k == 0 or x.is_zero:
             return x
-        img = LFElement(x.val, tuple(self._compose(x.unit, self._sigma_cols[k])), x.aprec)
+        img = LFElement(x.val, tuple(self._compose(x.unit, self._sigma[k])), x.aprec)
         if self._sigma_pi_units is None:
             return img
         return self.mul(img, self.powi(self._sigma_pi_units[k], x.val))

@@ -348,7 +348,7 @@ def test_class_space_dimension_matches_the_closed_form(spec):
     assert dim == tw.deg + 1 + zeta_p_in_k == CLOSED_FORM_DIMS[spec]
 
 
-# -- exactness of the packed arithmetic ---------------------------------------
+# -- exactness of the ring arithmetic -----------------------------------------
 
 # The towers of the benchmark's padic_towers set, with the CLI default
 # precision written out where it has one.
@@ -414,16 +414,16 @@ def test_poly_mulmod_matches_schoolbook(spec):
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 17])
-def test_poly_mulmod_int64_and_packed_paths_at_the_bound(d):
+def test_poly_mulmod_int64_and_object_dtypes_at_the_bound(d):
     # m - 1 = isqrt((2^63 - 1) // d) is the largest m with d(m-1)^2 < 2^63:
-    # its ring multiplies in int64, the ring of m + 1 packs
+    # its ring multiplies in int64, the ring of m + 1 in Python ints
     rng = random.Random(d)
     below = math.isqrt((2**63 - 1) // d) + 1
     for m, int64 in ((below - 1, True), (below, True), (below + 1, False), (below + 2, False)):
         assert (d * (m - 1) ** 2 < 2**63) == int64
         f = [rng.randrange(m) for _ in range(d)] + [1]
         ring = lf._Ring(f, m)
-        assert (ring.table is not None) == int64
+        assert ring.table.dtype == (np.int64 if int64 else object)
         ops = [op for _ in range(2) for op in _operands(rng, d, m)]
         ops.append([rng.randrange(-(2**70), 2**70) for _ in range(d)])  # past int64
         for a in ops:
@@ -522,11 +522,15 @@ def test_strip_matches_p_over_pi_formula(spec):
 @pytest.mark.parametrize("spec", BENCH_TOWERS, ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_strip_tables_match_the_p_over_pi_power(spec):
     # the multiplier p^k / pi^t mod p^(cp+k), k = ceil(t/e), as it was
-    # built before: (p/pi)^t mod p^(cp+t), divided by p^(t-k)
+    # built before: (p/pi)^t mod p^(cp+t), divided by p^(t-k); when
+    # pi = p it is 1, and the table holds no ring and no multiplier
     tw = make_tower(*spec)
     p = tw.p
     for t in [*range(1, 3 * tw.e + 3), tw.e * tw.cp]:  # k runs up to cp
         k = -(-t // tw.e)
+        if tw.kind == "unramified":
+            assert tw._strip_table(t) == (None, None, p**k)
+            continue
         wide = tw.modulus * p**t
         f = [x % wide for x in tw.minpoly]
         q_wide = lf._poly_powmod([x % wide for x in p_over_pi(tw)], t, lf._Ring(f, wide))
@@ -537,6 +541,26 @@ def test_strip_tables_match_the_p_over_pi_power(spec):
     # past k = cp no nonzero polynomial mod p^cp is divisible by pi^t
     with pytest.raises(PrecisionError):
         tw._strip_table(tw.e * tw.cp + 1)
+
+
+@pytest.mark.parametrize("spec", [s for s in BENCH_TOWERS if s[1] == "unramified"],
+                         ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_unramified_strip_divides_without_a_product(spec, monkeypatch):
+    # pi = p: c / p^t is read off c directly, with no product by 1 and no
+    # widened ring p^(cp+t)
+    tw = make_tower(*spec)
+    rng = random.Random(repr(spec))
+    cases = []
+    for t in (1, 2, 5):
+        y = [rng.randrange(tw.modulus) for _ in range(tw.deg)]
+        y[0] = y[0] * tw.p + 1
+        cases.append((tw._shift(y, t), t))
+    products = []
+    mulmod = lf._poly_mulmod
+    monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    for c, t in cases:
+        assert tw._strip(c, t) == strip_by_p_over_pi(tw, c, t)
+    assert not products and set(tw._rings) == {0}
 
 
 def newton_inverse_full_rounds(tw, unit):
@@ -741,12 +765,22 @@ def matrix_galois(tw, mats, x, k):
     return tw.mul(out, tw.powi(lf.LFElement(0, sigma_pi.unit), x.val))
 
 
-GALOIS_TOWERS = ((3, "cyclotomic", 2, 100), (2, "cyclotomic", 3, 88), (5, "unramified", 1, 28))
+# the towers with the dtype of their ring: sigma^k is checked on both
+# sides of the int64 bound
+GALOIS_TOWERS = {
+    (3, "cyclotomic", 2, 100): np.int64,
+    (2, "cyclotomic", 3, 88): np.int64,
+    (5, "unramified", 1, 28): object,
+}
 
 
-@pytest.mark.parametrize("spec", GALOIS_TOWERS, ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+@pytest.mark.parametrize("spec", list(GALOIS_TOWERS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_galois_matches_matrix_oracle(spec):
+    assert set(GALOIS_TOWERS.values()) == {np.int64, object}
     tw = make_tower(*spec)
+    dtype = GALOIS_TOWERS[spec]
+    assert tw.ring.table.dtype == dtype
+    assert all(sigma.dtype == dtype for sigma in tw._sigma[1:])
     mats = sigma_matrix_powers(tw)
     rng = random.Random(repr(spec))
     elements = [tw.mul(_seeded_unit(tw, rng), tw.powi(tw.pi, s)) for s in (-1, 1, 2, 5)]
@@ -759,7 +793,7 @@ def test_galois_matches_matrix_oracle(spec):
         assert tw.galois(x, 0) is x and tw.galois(x, tw.p**tw.n) is x
 
 
-@pytest.mark.parametrize("spec", GALOIS_TOWERS[::2], ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+@pytest.mark.parametrize("spec", list(GALOIS_TOWERS)[::2], ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_galois_powers_compose(spec):
     tw = make_tower(*spec)
     order = tw.p**tw.n
