@@ -39,7 +39,7 @@ from .decompose import (
     verify,
 )
 from .gmod import jordan_type, make_module
-from .local_fields import PrecisionError, build_datum, make_tower
+from .local_fields import KINDS, PrecisionError, build_datum, make_tower
 from .synth import SynthParams, sidecar, synthesize
 
 EXIT_OK = 0
@@ -127,7 +127,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_loc = sub.add_parser("local", help="build a p-adic tower and emit its datum")
     p_loc.add_argument("--p", type=int, required=True)
-    p_loc.add_argument("--kind", choices=["unramified", "cyclotomic"], required=True)
+    p_loc.add_argument("--kind", choices=sorted(KINDS), required=True)
     p_loc.add_argument("--n", type=int, required=True)
     p_loc.add_argument("--precision", type=int, default=None, help="pi-adic digits")
     p_loc.add_argument("--out", required=True)

@@ -1,21 +1,19 @@
 """Concrete p-adic instances: cyclic towers over Q_p and their class data.
 
-Two families are supported.  UNRAMIFIED towers (p odd) realize the case
-with no p-th root of unity in the base; CYCLOTOMIC towers adjoin p-power
-roots of unity (for p = 2 the base is Q_2(i) and the generator acts by
-zeta -> zeta^5, the cyclic part of the 2-cyclotomic Galois group).
-
-Only the constructor reads the kind.  A kind supplies four things: the
-data (e, f, r, pi) -- the ramification index e, the residue degree
-f = [K:Q_p]/e, the residue polynomial r over F_p with residue field
-F_p[x]/(r), and the uniformizer pi as a polynomial in the generator x;
-sigma(x); the uniformizer and ramification index of each level K_i; and
-the distinguished root of unity zeta, or none.  Unramified towers have
-e = 1, r the defining polynomial mod p, pi = p, sigma the Frobenius and
-no zeta; cyclotomic towers use the Eisenstein power basis: f = 1, r = x,
-pi = x = zeta - 1.  Everything else reads only this data.  The residue
-field of K_i is the subspace of F_p[x]/(r) fixed by Frobenius^(f_i),
-f_i its residue degree.
+A tower kind is one function in KINDS.  kind(p, n) returns (deg, e,
+xi_in_F, data) at once, or refuses (p, n); data() returns integer
+polynomials in the generator x: the defining polynomial, r (the residue
+field is F_p[x]/(r), of degree f = deg/e), pi (x, for an Eisenstein
+defining polynomial, or p), sigma(x) (None for the Hensel-lifted
+Frobenius root), each level's (pi_i, e(K_i/Q_p)), (zeta, its order) or
+None, and the top Kummer generator a_(n-1) or None.  The constructor
+calls data() after its size and precision bounds, and runs the same steps
+and checks on every kind.  Unramified towers (p odd, no p-th root of
+unity in the base) have e = 1, pi = p, sigma the Frobenius and no zeta;
+cyclotomic towers adjoin p-power roots of unity (for p = 2 the base is
+Q_2(i) and sigma is zeta -> zeta^5) in the basis x = zeta - 1: f = 1,
+r = x, pi = x.  The residue field of K_i is the subspace of F_p[x]/(r)
+fixed by Frobenius^(f_i), f_i its residue degree.
 
 An element is a value (val, unit, aprec) in the top field K: the
 floating form pi^val * unit, the unit being a polynomial in x with
@@ -85,8 +83,6 @@ from . import gmod
 from .datum import GaloisDatum, LevelData
 from .fp_linalg import Array
 
-UNRAMIFIED = "unramified"
-CYCLOTOMIC = "cyclotomic"
 # the largest accepted precision, as a multiple of the default 4e + 24
 PRECISION_FACTOR = 8
 
@@ -286,6 +282,46 @@ def _find_unramified_poly(p: int, d: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# tower kinds (see the module docstring for what a kind returns)
+
+
+def _unramified(p: int, n: int):
+    """Degree p^n over F = Q_p, no p-th root of unity: pi = p at every
+    level, x lifts a generator of the residue field, sigma is Frobenius."""
+    if p == 2:
+        raise ValueError("unramified towers need p odd (xi_2 = -1 lies in every 2-adic field)")
+
+    def data():
+        minpoly = _find_unramified_poly(p, p**n)
+        return minpoly, [c % p for c in minpoly], [p], None, [([p], 1)] * (n + 1), None, None
+
+    return p**n, 1, False, data
+
+
+def _cyclotomic(p: int, n: int):
+    """K = Q_p(zeta), zeta of order p^(n+1), over F = Q_p(zeta_p), or of
+    order 2^(n+2) over F = Q_2(i), in the Eisenstein basis x = zeta - 1:
+    sigma(zeta) = zeta^u for u = 1 + p (5 when p = 2), K_i has the
+    uniformizer zeta^(p^(n-i)) - 1, and a_(n-1) = zeta^p."""
+    power = n + 2 if p == 2 else n + 1
+    deg = 2 ** (n + 1) if p == 2 else p**n * (p - 1)
+
+    def data():
+        def zeta_minus_one(k):  # (1 + x)^k - 1
+            return [0] + [math.comb(k, j) for j in range(1, k + 1)]
+
+        sigma_x = zeta_minus_one(5 if p == 2 else 1 + p)
+        levels = [(zeta_minus_one(p ** (n - i)), deg // p ** (n - i)) for i in range(n + 1)]
+        return (_cyclotomic_shifted(p, power), [0, 1], [0, 1], sigma_x, levels,
+                ([1, 1], p**power), [math.comb(p, j) for j in range(p + 1)])
+
+    return deg, deg, True, data
+
+
+KINDS = {"unramified": _unramified, "cyclotomic": _cyclotomic}
+
+
+# ---------------------------------------------------------------------------
 # elements
 
 
@@ -317,11 +353,11 @@ class LocalTower:
     def __init__(self, p: int, kind: str, n: int, precision: int | None = None):
         """The tower of the given kind; precision None means 4e + 24
         pi-digits, and at most PRECISION_FACTOR times that is accepted.
-        This is the only code that reads the kind (see the module
-        docstring for what each kind supplies)."""
+        The kind is looked up in KINDS, and every kind runs the same
+        steps and checks (see the module docstring)."""
         fl.check_prime(p)
         kind = kind.lower()
-        if kind not in (UNRAMIFIED, CYCLOTOMIC):
+        if kind not in KINDS:
             raise ValueError(f"unknown tower kind {kind!r}")
         if n < 1:
             raise ValueError("tower height must be >= 1")
@@ -334,17 +370,7 @@ class LocalTower:
         self.p = p
         self.kind = kind
         self.n = n
-
-        if kind == UNRAMIFIED:
-            self.deg, self.e, self.xi_in_F = p**n, 1, False
-        else:
-            # K = Q_2(zeta_{2^(n+2)}) over F = Q_2(i), else Q_p(zeta_{p^(n+1)})
-            # over F = Q_p(zeta_p)
-            zeta_power = n + 2 if p == 2 else n + 1
-            self.deg = self.e = 2 ** (n + 1) if p == 2 else p**n * (p - 1)
-            self.xi_in_F = True
-        if p == 2 and not self.xi_in_F:
-            raise ValueError("unramified towers need p odd (xi_2 = -1 lies in every 2-adic field)")
+        self.deg, self.e, self.xi_in_F, data = KINDS[kind](p, n)
         self.f = self.deg // self.e
         dim = self.deg + 1 + self.xi_in_F
         if dim > fl.DIM_MAX:
@@ -366,18 +392,13 @@ class LocalTower:
         self.modulus = p**self.cp
         self.rel_cap = self.e * self.cp  # representable relative precision
 
-        if kind == UNRAMIFIED:
-            # pi = p, and x is a unit whose residue generates F_p[x]/(f mod p)
-            self.minpoly = _find_unramified_poly(p, self.deg)
-            self.r = [c % p for c in self.minpoly]
-            self._pi_poly, self._x_val, self._pi_unit = [p], 0, None
-        else:
-            # Eisenstein power basis: pi = x reduces to 0, residue field F_p;
-            # pi^e = x^d = -(a_0 + ... + a_{d-1} x^(d-1)) = p*u, u a unit
-            self.minpoly = _cyclotomic_shifted(p, zeta_power)
-            assert all(c % p == 0 for c in self.minpoly[:-1]) and self.minpoly[0] % p**2
-            self.r = [0, 1]
-            self._pi_poly, self._x_val = [0, 1], 1
+        self.minpoly, self.r, self._pi_poly, gen_poly, levels, zeta, kummer_top = data()
+        # pi = p, x a unit; or pi = x in an Eisenstein power basis, where
+        # pi^e = x^d = -(a_0 + ... + a_{d-1} x^(d-1)) = p*u, u a unit
+        self._x_val, self._pi_unit = int(self._pi_poly == [0, 1]), None
+        if self._x_val:
+            if any(c % p for c in self.minpoly[:-1]) or self.minpoly[0] % p**2 == 0:
+                raise ValueError("pi = x needs an Eisenstein defining polynomial")
             self._pi_unit = [(-c) // p for c in self.minpoly[:-1]]
 
         # the rings (Z/p^(cp+k))[x]/(minpoly) by k, each built on first
@@ -401,23 +422,10 @@ class LocalTower:
         self.zero = LFElement(0, None)
         self.pi = LFElement(1, self._unit_one)
 
-        if kind == UNRAMIFIED:
-            # sigma is the Frobenius, and p is the uniformizer of every level
-            gen_image, self._zeta = self._frobenius_root(), None
-            uniformizers, level_e = [self.from_int(p)] * (n + 1), [1] * (n + 1)
-        else:
-            # zeta = 1 + pi, of order p^zeta_power, goes to zeta^u, so pi goes
-            # to zeta^u - 1; K_i has the uniformizer zeta^(p^(n-i)) - 1
-            gen_image = _poly_powmod([1, 1], 5 if p == 2 else 1 + p, self.ring)
-            gen_image[0] = (gen_image[0] - 1) % self.modulus
-            zeta = self.add(self.one, self.pi)
-            self._zeta = (zeta, p**zeta_power)
-            rels = [p ** (n - i) for i in range(n + 1)]
-            uniformizers = [self.add(self.powi(zeta, rel), self.neg(self.one)) for rel in rels]
-            level_e = [self.e // rel for rel in rels]
-
-        self._galois_setup(gen_image)
-        self._level_setup(uniformizers, level_e)
+        self._zeta = None if zeta is None else (self.from_poly(zeta[0]), zeta[1])
+        self._kummer_top = None if kummer_top is None else self.from_poly(kummer_top)
+        self._galois_setup(self._frobenius_root() if gen_poly is None else self._reduce(gen_poly))
+        self._level_setup([self.from_poly(pi_i) for pi_i, _ in levels], [e_i for _, e_i in levels])
         # the matrix of c -> c^p on F_p[x]/(r), column j the image of x^j
         frob_cols = [_poly_powmod([0] * j + [1], p, self._res_ring) for j in range(self.f)]
         self._res_frobenius = np.array(frob_cols, dtype=np.int64).T
@@ -427,19 +435,25 @@ class LocalTower:
     # -- element construction ------------------------------------------------
 
     def from_poly(self, coeffs) -> LFElement:
-        d = self.deg
-        c = [int(x) % self.modulus for x in coeffs][:d]
-        c += [0] * (d - len(c))
-        if all(x == 0 for x in c):
+        """The element of an integer polynomial in x, known to pi^rel_cap:
+        its coefficients are reduced mod p^cp = pi^rel_cap."""
+        c = self._reduce(coeffs)
+        if not any(c):
             return self.zero
         t = self._poly_val(c)
-        return LFElement(t, tuple(self._strip(c, t)), t + self.rel_cap)
+        return LFElement(t, tuple(self._strip(c, t)), self.rel_cap)
 
     def from_int(self, c: int) -> LFElement:
-        c = int(c) % self.modulus
-        if c == 0:
-            return self.zero
         return self.from_poly([c])
+
+    def _reduce(self, coeffs) -> list[int]:
+        """An integer polynomial in x modulo the defining polynomial over Z
+        (it is monic), then modulo p^cp, as deg coefficients."""
+        c, f, d = [int(x) for x in coeffs], self.minpoly, self.deg
+        for k in range(len(c) - 1, d - 1, -1):
+            for j in range(d):
+                c[k - d + j] -= c[k] * f[j]
+        return [x % self.modulus for x in c[:d]] + [0] * (d - len(c))
 
     def zeta(self, k: int = 1) -> LFElement:
         """zeta^k for the tower's distinguished root of unity zeta."""
@@ -450,7 +464,7 @@ class LocalTower:
     def zeta_p(self) -> LFElement:
         """A primitive p-th root of unity, a power of zeta."""
         if self._zeta is None:
-            raise ValueError("xi_p is not in an unramified tower (p odd)")
+            raise ValueError("no distinguished root of unity in this tower")
         return self.zeta(self._zeta[1] // self.p)
 
     # -- valuation machinery ---------------------------------------------------
@@ -627,14 +641,15 @@ class LocalTower:
             self._sigma.append(np.array(powers, dtype=ring.table.dtype).T)
             images.append(self._compose(images[k], self._sigma[1]))
 
-        # the units sigma^k(pi)/pi: when pi = x they are g_k/x; pi = p is
-        # fixed by sigma, and galois then has nothing to multiply by
+        # the units sigma^k(pi)/pi: when pi = x they are g_k/x, known to
+        # as many digits as g_k; pi = p is fixed by sigma, and galois then
+        # has nothing to multiply by
         self._sigma_pi_units = None
         if self._x_val:
             units = [self.from_poly(g) for g in images[:order]]
             if any(u.val != 1 for u in units):
                 raise ValueError("generator image is not a uniformizer")
-            self._sigma_pi_units = [LFElement(0, u.unit) for u in units]
+            self._sigma_pi_units = [LFElement(0, u.unit, u.aprec - u.val) for u in units]
         # exact order: sigma^(p^n) = 1 and sigma^(p^(n-1)) != 1, read on x
         # as sigma^k(x^j) = g_k^j; g_k - x is compared at its tracked
         # precision in pi-digits
@@ -743,18 +758,9 @@ class LocalTower:
         if all(v % p == 0 for v in residue):
             return self.zero
         if self.f == 1:
-            # Newton's iteration on the integer lift: cheaper than the
-            # tower's own for a residue in F_p
+            # r^(p^k) = omega(r) mod p^(k+1), so one integer power lifts r
             r = residue[0] % p
-            if p == 2 or r == 1:
-                return self.one
-            mod = self.modulus
-            x = r
-            for _ in range(max(3, math.ceil(math.log2(self.cp)) + 2)):
-                num = (pow(x, p - 1, mod) - 1) % mod
-                den = (p - 1) * pow(x, p - 2, mod) % mod
-                x = (x - num * pow(den, -1, mod)) % mod
-            return self.from_int(x)
+            return self.one if r == 1 else self.from_int(pow(r, p ** (self.cp - 1), self.modulus))
         x = self.from_poly(list(residue))
         q = p**self.f
         for _ in range(max(3, math.ceil(math.log2(self.cp * self.e)) + 3)):
@@ -1031,9 +1037,10 @@ def make_tower(p: int, kind: str, n: int, precision: int | None = None) -> Local
 def kummer_generators(tower: LocalTower) -> list[LFElement]:
     """The norm-coherent chain (a_{n-1}, ..., a_0); towers with xi_p in F only.
 
-    a_{n-1} is the Kummer generator of the top step (zeta^p, whose p-th
-    root generates K over K_{n-1}); the rest are successive norms down
-    the tower.  Each step is checked at the class level: a_i is not a
+    a_{n-1} is the Kummer generator of the top step, which the tower's
+    kind supplies (zeta^p for the cyclotomic towers): its p-th root
+    generates K over K_{n-1}.  The rest are successive norms down the
+    tower.  Each step is checked at the class level: a_i is not a
     p-th power in its own field, and it becomes one a level up.
     """
     return [a for a, _ in _kummer_chain(tower)]
@@ -1041,10 +1048,10 @@ def kummer_generators(tower: LocalTower) -> list[LFElement]:
 
 def _kummer_chain(tower: LocalTower) -> list[tuple[LFElement, Array]]:
     """(a_i, its level-i class) for i = n-1, ..., 0, each step checked."""
-    if not tower.xi_in_F:
+    if tower._kummer_top is None:
         raise ValueError("Kummer generators require xi_p in the base")
     n = tower.n
-    chain = [tower.zeta(tower.p)]
+    chain = [tower._kummer_top]
     for i in range(n - 1, 0, -1):
         chain.append(tower.norm(chain[-1], i, i - 1))
     out = []

@@ -457,6 +457,32 @@ def test_local_refuses_precision_above_bound(tmp_path, capsys, monkeypatch, kind
         assert not (tmp_path / "x.json").exists()
 
 
+def test_local_kind_choices_are_the_kinds_table():
+    import argparse
+
+    import galmod.local_fields as lf
+    from galmod.cli import _parser
+
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in commands.choices["local"]._actions if a.dest == "kind")
+    assert kind.choices == sorted(lf.KINDS)
+
+
+def test_local_refuses_a_defining_polynomial_that_is_not_eisenstein(tmp_path, capsys,
+                                                                    monkeypatch):
+    # pi = x needs an Eisenstein polynomial: one whose constant term p^2
+    # divides is refused as input, not reported as an inconsistency
+    import galmod.local_fields as lf
+
+    shifted = lf._cyclotomic_shifted
+    monkeypatch.setattr(lf, "_cyclotomic_shifted", lambda p, k: [p * p] + shifted(p, k)[1:])
+    rc = main(["local", "--p", "3", "--kind", "cyclotomic", "--n", "1",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert one_line(capsys.readouterr().err).startswith("cannot build tower: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_datum_json_with_p_above_bound_refused(tmp_path, capsys, no_prime_work):
     datum, dec = readme_example(tmp_path)
     obj = json.loads(read(datum))

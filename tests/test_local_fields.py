@@ -14,7 +14,9 @@ import pytest
 
 from galmod import local_fields as lf
 from galmod.cli import main
-from galmod.datum import datum_to_json, e_ranks, exceptional_search, i_via_theorem3, validate
+from galmod.datum import (
+    NEG_INF, datum_to_json, e_ranks, exceptional_search, i_via_theorem3, validate,
+)
 from galmod.decompose import all_clauses_pass, decompose, verify
 from galmod.local_fields import (
     NotPthPower,
@@ -339,13 +341,21 @@ def tower_datum(spec):
 
 @pytest.mark.parametrize("spec", list(CLOSED_FORM_DIMS), ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_class_space_dimension_matches_the_closed_form(spec):
-    p, kind = spec[:2]
+    p, kind, n = spec[:3]
     tw, d = tower_datum(spec)
     # cyclotomic towers contain zeta_p; unramified ones only for p = 2,
     # where zeta_2 = -1
     zeta_p_in_k = kind == "cyclotomic" or p == 2
     dim = d.J.dim
     assert dim == tw.deg + 1 + zeta_p_in_k == CLOSED_FORM_DIMS[spec]
+    # over a local base J = F_p[G]^N + R, N = [F:Q_p] (Borevic and
+    # Faddeev), with R = X + Y_0 (blocks [1, 1], m = -inf) when xi_p lies
+    # in F, else Y_0; and by local reciprocity m is -inf or 0, by both routes
+    dec = decompose(d)
+    assert dec.block_multiset() == [p**n] * (tw.deg // p**n) + [1] * (1 + d.xi_in_F)
+    if dec.m is not None:
+        assert exceptional_search(d).m == i_via_theorem3(d) == dec.m
+        assert dec.m in (NEG_INF, 0)
 
 
 # -- exactness of the ring arithmetic -----------------------------------------
@@ -753,7 +763,8 @@ def sigma_matrix_powers(tw):
 def matrix_galois(tw, mats, x, k):
     """sigma^k(x) through the matrix of sigma^k: the unit's coordinates
     times the matrix, and for cyclotomic towers the unit of sigma^k(pi)/pi
-    raised to the valuation."""
+    raised to the valuation; that unit is known to one pi-digit fewer
+    than sigma^k(pi)."""
     d, mod = tw.deg, tw.modulus
     m = mats[k]
     img = tuple(sum(m[i][j] * x.unit[j] for j in range(d)) % mod for i in range(d))
@@ -762,7 +773,7 @@ def matrix_galois(tw, mats, x, k):
         return out
     sigma_pi = tw.from_poly([m[i][1] for i in range(d)])
     assert sigma_pi.val == 1
-    return tw.mul(out, tw.powi(lf.LFElement(0, sigma_pi.unit), x.val))
+    return tw.mul(out, tw.powi(lf.LFElement(0, sigma_pi.unit, sigma_pi.aprec - 1), x.val))
 
 
 # the towers with the dtype of their ring: sigma^k is checked on both
@@ -803,6 +814,43 @@ def test_galois_powers_compose(spec):
         for a in range(order):
             for b in range(order):
                 assert tw.eq(tw.galois(tw.galois(x, b), a), tw.galois(x, a + b))
+
+
+def digits_known(lo, hi, x, y):
+    """The pi-digits to which x, computed in the tower lo, agrees with y,
+    the same value computed in hi, the same tower at a higher precision."""
+    diff = hi.add(y, hi.neg(lf.LFElement(x.val, x.unit)))
+    return diff.aprec if diff.is_zero else diff.val
+
+
+@pytest.mark.parametrize(
+    "spec", [(3, "cyclotomic", 1, 60), (2, "cyclotomic", 1, 40), (2, "cyclotomic", 3, 88),
+             (5, "unramified", 1, 28)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_from_poly_and_galois_claim_only_known_digits(spec):
+    # every digit an element claims agrees with the tower at twice the
+    # precision
+    p, kind, n, precision = spec
+    lo, hi = make_tower(*spec), make_tower(p, kind, n, 2 * precision)
+    d, rng = lo.deg, random.Random(repr(spec))
+    for t in (1, 2, 5):
+        # pi^t times a unit, plus p^cp times a unit, past the degree: the
+        # second term is below the digits lo keeps
+        unit = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d + 2)]
+        lead = [0] * t + unit if lo._x_val else [p**t * c for c in unit]
+        tail = [lo.modulus * c for c in unit]
+        c = [a + b for a, b in itertools.zip_longest(lead, tail, fillvalue=0)]
+        x, y = lo.from_poly(c), hi.from_poly(c)
+        assert x.val == y.val == t
+        assert digits_known(lo, hi, x, y) >= x.aprec
+    for s in (1, 2, 5):
+        # an exact value in both towers, sent through every sigma^k
+        unit = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d - 1)]
+        x, y = (tw.mul(tw.from_poly(unit), tw.powi(tw.pi, s)) for tw in (lo, hi))
+        for k in range(1, p**n):
+            gx, gy = lo.galois(x, k), hi.galois(y, k)
+            assert gy.aprec >= gx.aprec and digits_known(lo, hi, gx, gy) >= gx.aprec
 
 
 def test_order_check_refuses_the_identity(monkeypatch):
@@ -852,6 +900,16 @@ def test_local_datum_at_the_threshold_precision_is_pinned(spec):
     d = build_datum(make_tower(p, kind, n, m_min))
     text = json.dumps(datum_to_json(d), indent=1) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_DIGESTS[spec]
+
+
+def test_a_kind_is_one_function_in_the_table(tmp_path, monkeypatch):
+    # a kind registered in KINDS is a --kind choice, and builds through
+    # the constructor's one path: a copy of the cyclotomic kind gives its pin
+    monkeypatch.setitem(lf.KINDS, "twin", lambda p, n: lf._cyclotomic(p, n))
+    out = tmp_path / "d.json"
+    assert main(["local", "--p", "2", "--kind", "twin", "--n", "2", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == LOCAL_DIGESTS[(2, "cyclotomic", 2, 56)]
 
 
 def test_cli_default_precision_matches_the_pin(tmp_path):
