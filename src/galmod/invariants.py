@@ -95,15 +95,9 @@ def exceptional_checks(d: GaloisDatum, report: dict, seed: int = 0):
 
 
 def _l_h(d: GaloisDatum, v, level: int) -> int:
-    """Length of the cyclic module of v under the subgroup H_level."""
-    p = d.p
-    op_h = d.op_pow(p**level)
-    k = 0
-    w = v % p
-    while np.any(w):
-        w = fl.matmul(op_h, w, p)
-        k += 1
-    return k
+    """Length of the cyclic module of v under the subgroup H_level: its
+    generator minus 1 is (sigma - 1)^(p^level) in characteristic p."""
+    return -(-gmod.length(d.J, v) // d.p**level)
 
 
 def _sample_elements(d: GaloisDatum, count: int, seed: int):

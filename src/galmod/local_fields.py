@@ -49,14 +49,19 @@ tower.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops once
 uv = 1, where further rounds leave v unchanged.  ``powi`` and
 ``_poly_powmod`` square and multiply by ``fl.power``, with no product by
 one and no square after the top bit.  All of this is exact: results are
-the same residues the schoolbook product gives.
+the same residues the schoolbook product gives.  The residue field
+F_q = F_p[x]/(r) has one method beside its ring, the matrix of
+Frobenius c -> c^p: an inverse is the product of the conjugates divided
+by the norm, which lies in F_p, and Berlekamp's rank criterion on the
+same matrix decides irreducibility.  The Hensel-lifted Frobenius root
+and the Teichmuller lifts are roots found by one Newton loop.
 
 sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
-the Hensel-lifted Frobenius root.  Each sigma^k is stored as the d x d
-matrix, in the ring's dtype, whose column j is g_k^j, where
-g_k = sigma^k(x) = sigma(g_(k-1)); it is applied to a unit as one
-matrix-vector product mod m, and the order p^n of sigma is checked on
-g_k - x alone, at its tracked precision in pi-digits.
+the Hensel-lifted Frobenius root.  sigma is stored as the d x d matrix,
+in the ring's dtype, whose column j is g^j, and sigma^k = sigma sigma^(k-1)
+mod m; each is applied to a unit as one matrix-vector product mod m.
+The order p^n of sigma is checked on g_k - x alone, g_k = sigma^k(x)
+being column 1 of sigma^k, at its tracked precision in pi-digits.
 
 Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
@@ -185,14 +190,6 @@ def _poly_invmod(a: list[int], v: list[int], ring: _Ring, digits: int) -> list[i
     return v
 
 
-def _poly_add(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    return [
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-        for i in range(n)
-    ]
-
-
 def _cyclotomic_shifted(p: int, power: int) -> list[int]:
     """Coefficients of Phi_{p^power}(x + 1), Eisenstein with constant p."""
     step = p ** (power - 1)
@@ -204,65 +201,30 @@ def _cyclotomic_shifted(p: int, power: int) -> list[int]:
     return out
 
 
-def _gf_poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(q, r) with a = q b + r and deg r < deg b over F_p; b is trimmed
-    and nonzero, a reduced mod p."""
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = _poly_trim(list(a))
-    while len(r) >= len(b):
-        c = r[-1] * inv % p
-        off = len(r) - len(b)
-        q[off] = c
-        for j in range(len(b)):
-            r[off + j] = (r[off + j] - c * b[j]) % p
-        _poly_trim(r)
-    return q, r
-
-
-def _gf_poly_inverse(a: list[int], f: list[int], p: int) -> list[int]:
-    """a^-1 mod (f, p) as deg f coefficients, by the extended Euclidean
-    algorithm; ZeroDivisionError unless a is prime to f mod p."""
-    d = len(f) - 1
-    r1 = _poly_trim([c % p for c in a])
-    if len(r1) == 1:  # a nonzero constant, the whole residue when deg f = 1
-        return [pow(r1[0], p - 2, p)] + [0] * (d - 1)
-    # invariant: s_k * a = r_k mod f, starting from (0, f) and (1, a)
-    r0 = _poly_trim([c % p for c in f])
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _gf_poly_divmod(r0, r1, p)
-        qs1 = [0] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            for j, sj in enumerate(s1):
-                qs1[i + j] += qi * sj
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(_poly_add(s0, [-c for c in qs1], p))
-    if len(r0) != 1:
-        raise ZeroDivisionError("not a unit")
-    c = pow(r0[0], p - 2, p)
-    return [x * c % p for x in s0] + [0] * (d - len(s0))
+def _frobenius_matrix(ring: _Ring) -> Array:
+    """The matrix of c -> c^p on F_p[x]/(f), for ring = _Ring(f, p):
+    column j is x^(jp); [[1]] when d = 1."""
+    cols = [[1] + [0] * (ring.d - 1)]
+    if ring.d > 1:
+        xp = _poly_powmod([0, 1], ring.m, ring)
+        while len(cols) < ring.d:
+            cols.append(_poly_mulmod(cols[-1], xp, ring))
+    return np.array(cols, dtype=np.int64).T
 
 
 def _gf_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test for monic f of degree d over F_p: x^(p^d) = x mod f,
-    and x^(p^(d/l)) - x is a unit mod f for each prime l dividing d."""
+    """Berlekamp's criterion for monic f of degree d over F_p, on the
+    Frobenius matrix Q: x^(p^d) = x mod f, which makes f squarefree, and
+    rank(Q - 1) = d - 1, as Q fixes one copy of F_p per irreducible
+    factor of a squarefree f."""
     d = len(f) - 1
     if d == 1:
         return True
-    ring = _Ring(f, p)
-
-    def x_power_minus_x(k: int) -> list[int]:  # x^(p^k) - x mod (f, p)
-        return _poly_add(_poly_powmod([0, 1], p**k, ring), [0, p - 1], p)
-
-    if any(x_power_minus_x(d)):
-        return False
-    try:
-        for ell in [q for q in range(2, d + 1) if d % q == 0 and fl.is_prime(q)]:
-            _gf_poly_inverse(x_power_minus_x(d // ell), f, p)
-    except ZeroDivisionError:
-        return False
-    return True
+    q = _frobenius_matrix(_Ring(f, p))
+    x = y = fl.identity(d)[1]
+    for _ in range(d):
+        y = q @ y % p
+    return np.array_equal(y, x) and fl.rank((q - fl.identity(d)) % p, p) == d - 1
 
 
 def _find_unramified_poly(p: int, d: int) -> list[int]:
@@ -409,6 +371,8 @@ class LocalTower:
         self.ring = self._ring(0)
         self.fpoly = self.ring.f
         self._res_ring = _Ring(self.r, p)  # F_p[x]/(r)
+        # read by the first inv, which from_poly below may take
+        self._res_frobenius = _frobenius_matrix(self._res_ring)
         # per-tower powers of the uniformizer: t -> (ring mod p^(cp+k),
         # p^k / pi^t in it, p^k) for _strip, built from u^-k mod p^(2cp)
         # (index k), or (None, None, p^k) when pi = p; delta -> pi^delta
@@ -426,9 +390,6 @@ class LocalTower:
         self._kummer_top = None if kummer_top is None else self.from_poly(kummer_top)
         self._galois_setup(self._frobenius_root() if gen_poly is None else self._reduce(gen_poly))
         self._level_setup([self.from_poly(pi_i) for pi_i, _ in levels], [e_i for _, e_i in levels])
-        # the matrix of c -> c^p on F_p[x]/(r), column j the image of x^j
-        frob_cols = [_poly_powmod([0] * j + [1], p, self._res_ring) for j in range(self.f)]
-        self._res_frobenius = np.array(frob_cols, dtype=np.int64).T
         self._residue_fields: dict[int, fl.Subspace] = {}
         self._classes: dict[int, _LevelClasses] = {}
 
@@ -564,7 +525,7 @@ class LocalTower:
         delta = y.val - x.val
         if delta >= a - x.val:
             return LFElement(x.val, x.unit, a)
-        w = _poly_add(x.unit, self._shift(y.unit, delta), self.modulus)
+        w = [(a + b) % self.modulus for a, b in zip(x.unit, self._shift(y.unit, delta))]
         if all(v == 0 for v in w):
             return LFElement(0, None, a)
         t = self._poly_val(w)
@@ -600,8 +561,22 @@ class LocalTower:
         return LFElement(-x.val, tuple(v), min(x.aprec - 2 * x.val, self.rel_cap - x.val))
 
     def _residue_inverse(self, u: list[int]) -> list[int]:
-        """A lift of the inverse of u's residue u[:f] in F_p[x]/(r)."""
-        return _gf_poly_inverse(u[: self.f], self.r, self.p) + [0] * (self.deg - self.f)
+        """A lift of the inverse of u's residue a = u[:f] in F_p[x]/(r): the
+        product of the conjugates a^(p^k), 0 < k < f, each one product by
+        the Frobenius matrix, divided by the norm a^(1 + p + ... + p^(f-1))
+        in F_p; ZeroDivisionError when the norm is 0."""
+        p, f, ring = self.p, self.f, self._res_ring
+        a = [c % p for c in u[:f]]
+        # no product by one: none for the first conjugate, none when f = 1
+        inv, conj = [1] + [0] * (f - 1), a
+        for k in range(1, f):
+            conj = (self._res_frobenius @ conj % p).tolist()
+            inv = _poly_mulmod(inv, conj, ring) if k > 1 else conj
+        norm = _poly_mulmod(inv, a, ring)[0] if f > 1 else a[0]
+        if norm == 0:
+            raise ZeroDivisionError("not a unit")
+        c = pow(norm, p - 2, p)
+        return [v * c % p for v in inv] + [0] * (self.deg - f)
 
     def powi(self, x: LFElement, e: int) -> LFElement:
         """x^e by fl.power: popcount(e) + bitlength(e) - 2 products for
@@ -629,17 +604,22 @@ class LocalTower:
     # -- Galois action --------------------------------------------------------
 
     def _galois_setup(self, gen_image: list[int]):
-        """Store sigma^k, k < p^n, for sigma(x) = gen_image; check its order."""
+        """Store sigma^k, k < p^n, for sigma(x) = gen_image; check its order.
+
+        sigma^k = sigma sigma^(k-1) mod m in the ring's dtype: each entry
+        sums d products of residues, as in _compose."""
         p, d, ring = self.p, self.deg, self.ring
         order = p**self.n
-        images = [[0, 1] + [0] * (d - 2), gen_image]  # images[k] = g_k = sigma^k(x)
-        self._sigma = [None]  # sigma^0 is never applied
-        for k in range(1, order):
-            powers = [[1] + [0] * (d - 1), images[k]]
-            while len(powers) < d:
-                powers.append(_poly_mulmod(powers[-1], images[k], ring))
-            self._sigma.append(np.array(powers, dtype=ring.table.dtype).T)
-            images.append(self._compose(images[k], self._sigma[1]))
+        powers = [[1] + [0] * (d - 1), gen_image]
+        while len(powers) < d:
+            powers.append(_poly_mulmod(powers[-1], gen_image, ring))
+        sigma = np.array(powers, dtype=ring.table.dtype).T
+        self._sigma = [None, sigma]  # sigma^0 is never applied
+        while len(self._sigma) < order:
+            self._sigma.append(sigma @ self._sigma[-1] % ring.m)
+        # images[k] = g_k = sigma^k(x), column 1 of sigma^k
+        images = [[0, 1] + [0] * (d - 2)] + [s[:, 1].tolist() for s in self._sigma[1:]]
+        images.append(self._compose(images[-1], sigma))
 
         # the units sigma^k(pi)/pi: when pi = x they are g_k/x, known to
         # as many digits as g_k; pi = p is fixed by sigma, and galois then
@@ -669,18 +649,26 @@ class LocalTower:
         return (sigma @ ring.residues(u) % ring.m).tolist()
 
     def _frobenius_root(self) -> list[int]:
-        """Hensel-lifted Frobenius image of the unramified generator."""
-        d, mod = self.deg, self.modulus
-        w = [0, 1] + [0] * (d - 2)
-        r = self.from_poly(_poly_powmod(w, self.p, self.ring))
-        deriv = [(k * c) % mod for k, c in enumerate(self.minpoly)][1:]
-        for _ in range(max(3, math.ceil(math.log2(self.cp)) + 2)):
-            fr = self._eval_intpoly(self.minpoly, r)
-            if fr.is_zero:
+        """Hensel-lifted Frobenius image of the unramified generator: the
+        root of the defining polynomial that reduces to x^p."""
+        w = [0, 1] + [0] * (self.deg - 2)
+        deriv = [(k * c) % self.modulus for k, c in enumerate(self.minpoly)][1:]
+        root = self._newton(
+            self.from_poly(_poly_powmod(w, self.p, self.ring)),
+            lambda r: (self._eval_intpoly(self.minpoly, r), self._eval_intpoly(deriv, r)),
+        )
+        return self._as_poly(root)
+
+    def _newton(self, x: LFElement, step) -> LFElement:
+        """Newton's iteration x -> x - g(x)/g'(x), step(x) = (g(x), g'(x)),
+        from x; it stops once g(x) reads zero, or after
+        ceil(log2(rel_cap)) + 3 rounds."""
+        for _ in range(math.ceil(math.log2(self.rel_cap)) + 3):
+            gx, dgx = step(x)
+            if gx.is_zero:
                 break
-            fpr = self._eval_intpoly(deriv, r)
-            r = self.add(r, self.neg(self.mul(fr, self.inv(fpr))))
-        return self._as_poly(r)
+            x = self.add(x, self.neg(self.mul(gx, self.inv(dgx))))
+        return x
 
     def _eval_intpoly(self, coeffs: list[int], x: LFElement) -> LFElement:
         acc = self.zero
@@ -761,16 +749,15 @@ class LocalTower:
             # r^(p^k) = omega(r) mod p^(k+1), so one integer power lifts r
             r = residue[0] % p
             return self.one if r == 1 else self.from_int(pow(r, p ** (self.cp - 1), self.modulus))
-        x = self.from_poly(list(residue))
         q = p**self.f
-        for _ in range(max(3, math.ceil(math.log2(self.cp * self.e)) + 3)):
+        q_el, minus_one = self.from_int(q), self.neg(self.one)
+
+        def step(x):  # g = x^q - x and g' = q x^(q-1) - 1 share x^(q-1)
             xq1 = self.powi(x, q - 1)
-            num = self.add(self.mul(x, xq1), self.neg(x))
-            if num.is_zero:
-                break
-            den = self.add(self.mul(self.from_int(q), xq1), self.neg(self.one))
-            x = self.add(x, self.neg(self.mul(num, self.inv(den))))
-        return x
+            return (self.add(self.mul(x, xq1), self.neg(x)),
+                    self.add(self.mul(q_el, xq1), minus_one))
+
+        return self._newton(self.from_poly(list(residue)), step)
 
     def _residue_frob_inverse(self, residue):
         """delta with delta^p = residue in F_p[x]/(r): residue^(p^(f-1))."""

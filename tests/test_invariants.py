@@ -1,7 +1,16 @@
 """The lemma property suite, including its mutation sensitivity."""
 
+import dataclasses
+
+from galmod import gmod
 from galmod.datum import NEG_INF, exactness_violations, fixed_submodule_violations
-from galmod.invariants import lemma_property_suite, submodule_subfield_identity
+from galmod.invariants import (
+    _l_h,
+    _sample_elements,
+    lemma_property_suite,
+    submodule_subfield_identity,
+)
+from galmod.sweep import enumerate_sweep
 from galmod.synth import SynthParams, synthesize
 
 
@@ -88,3 +97,17 @@ def test_lemma_checks_and_validate_read_the_same_helpers():
         [],
         ["J^G exceeds im eps_0 but no fixed class has a nontrivial norm"],
     ]
+
+
+def test_subgroup_length_is_the_length_over_p_to_the_level():
+    # H_level is generated by sigma^(p^level), and sigma^(p^level) - 1 =
+    # (sigma - 1)^(p^level) in characteristic p
+    checked = 0
+    for idx, params in enumerate(enumerate_sweep(per_cell=1)):
+        d = synthesize(dataclasses.replace(params, shuffle_seed=idx))
+        for level in range(d.n + 1):
+            sub = gmod.subgroup_module(d.J, level)
+            for v in _sample_elements(d, 4, idx):
+                assert _l_h(d, v, level) == gmod.length(sub, v), (params, level)
+                checked += 1
+    assert checked > 1000

@@ -648,29 +648,34 @@ def test_build_datum_takes_each_top_norm_once(spec, monkeypatch):
     assert len(classes) == columns + 2 * n * tw.xi_in_F
 
 
-def irreducible_by_trial_division(f, p):
-    """No monic factor of degree at most deg f / 2 divides f over F_p."""
-    d = len(f) - 1
-    for k in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=k):
-            if not lf._gf_poly_divmod(f, list(tail) + [1], p)[1]:
-                return False
-    return True
+def monic_polys(p, d):
+    return [list(tail) + [1] for tail in itertools.product(range(p), repeat=d)]
+
+
+def reducible_by_product_search(p, d):
+    """Every product g*h over F_p of monic g of degree k, 0 < k <= d/2, and
+    monic h of degree d - k: the reducible monic polynomials of degree d."""
+    return {
+        tuple(int(c) % p for c in np.convolve(g, h))
+        for k in range(1, d // 2 + 1)
+        for g in monic_polys(p, k)
+        for h in monic_polys(p, d - k)
+    }
 
 
 @pytest.mark.parametrize(
-    "p, d", [(p, d) for p, top in ((2, 4), (3, 4), (5, 3)) for d in range(1, top + 1)],
+    "p, d", [(p, d) for p, top in ((2, 6), (3, 4), (5, 3)) for d in range(1, top + 1)],
     ids=lambda v: str(v),
 )
 def test_gf_irreducible_matches_trial_division(p, d):
+    reducible = reducible_by_product_search(p, d)
     found = 0
-    for tail in itertools.product(range(p), repeat=d):
-        f = list(tail) + [1]
+    for f in monic_polys(p, d):
         irreducible = lf._gf_irreducible(f, p)
-        assert irreducible == irreducible_by_trial_division(f, p), f
+        assert irreducible == (tuple(f) not in reducible), f
         found += irreducible
     # Gauss: sum over k | d of mu(k) p^(d/k), over d, monic irreducibles
-    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
     assert found == sum(mu * p ** (d // k) for k, mu in mobius.items() if d % k == 0) // d
 
 
@@ -711,7 +716,9 @@ def test_precision_bookkeeping(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", [(3, "unramified", 1, 40), (5, "unramified", 1, 28), (5, "cyclotomic", 1, 104)]
+    "spec",
+    [(3, "unramified", 1, 40), (5, "unramified", 1, 28), (5, "cyclotomic", 1, 104),
+     (3, "unramified", 2, 28)],
 )
 def test_residue_inverse_matches_power_form(spec):
     # the inverse in F_p[x]/(r) is u^(p^f - 2), lifted to a deg-long unit
