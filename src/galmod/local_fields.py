@@ -27,14 +27,18 @@ PrecisionError.  The tower does all arithmetic on elements, and nothing
 it keeps refers back to it.  Addition that cancels past the bound
 collapses to an exact zero-at-precision, which is what equality tests
 consume.  The generator x is pi or a unit, so valuations read off
-coefficients exactly.
+coefficients exactly.  A unit is an array of the tower's ring (below),
+and elements compare by ``eq``, not by ==.
 
 Unit arithmetic is polynomial multiplication in a ring (Z/m)[x]/(f) of
 degree d.  ``_poly_mulmod`` convolves the residues, reduces mod m, and
 folds the high half back with one product by the table of x^k mod f; no
 value then exceeds d(m-1)^2.  A ``_Ring`` checks the bound
 d(m-1)^2 < 2^63 once and holds the table in int64 under it and in Python
-ints (dtype object) past it, and the same steps run in that dtype; whoever
+ints (dtype object) past it.  A polynomial of the ring is an array of d
+residues in that dtype, and every step runs on it: the integer
+polynomials of a kind enter the tower's ring in ``_reduce``, and a
+polynomial moves to another ring only through ``_Ring.cast``.  Whoever
 multiplies modulo (f, m) builds the ring once and keeps it.  A tower
 keeps one ring per modulus it uses: p^cp, each widened modulus
 p^(cp+k) of ``_strip`` when pi = x (p^(2cp) among them), and F_p[x]/(r)
@@ -52,9 +56,10 @@ one and no square after the top bit.  All of this is exact: results are
 the same residues the schoolbook product gives.  The residue field
 F_q = F_p[x]/(r) has one method beside its ring, the matrix of
 Frobenius c -> c^p: an inverse is the product of the conjugates divided
-by the norm, which lies in F_p, and Berlekamp's rank criterion on the
-same matrix decides irreducibility.  The Hensel-lifted Frobenius root
-and the Teichmuller lifts are roots found by one Newton loop.
+by the norm, which lies in F_p, a p-th root is Frobenius^(f-1), and
+Berlekamp's rank criterion on the same matrix decides irreducibility.
+The Hensel-lifted Frobenius root and the Teichmuller lifts are roots
+found by one Newton loop.
 
 sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
 the Hensel-lifted Frobenius root.  sigma is stored as the d x d matrix,
@@ -101,13 +106,7 @@ class NotPthPower(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (dense coefficient lists modulo m)
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+# integer polynomial helpers (arrays of d residues modulo m)
 
 
 class _Ring:
@@ -115,8 +114,9 @@ class _Ring:
 
     table is the (d-1) x d matrix whose row k is x^(d+k) mod f.  Its
     dtype is int64 while d(m-1)^2 < 2^63, and object (Python ints) past
-    that bound; arithmetic in the ring runs in that dtype.  Whoever
-    multiplies modulo (f, m) builds the ring once and keeps it.
+    that bound; a polynomial of the ring is an array of its d residues
+    in that dtype.  Whoever multiplies modulo (f, m) builds the ring once
+    and keeps it.
     """
 
     def __init__(self, f: list[int], m: int):
@@ -130,61 +130,57 @@ class _Ring:
             row = [(-top * f[0]) % m] + [(row[j - 1] - top * f[j]) % m for j in range(1, d)]
         dtype = np.int64 if d * (m - 1) ** 2 < fl._INT64_EXACT else object
         self.table = np.array(reductions, dtype=dtype).reshape(d - 1, d)
+        self.one = self.cast(np.ones(1, dtype=np.int64))
+        self.one.flags.writeable = False  # shared: no product writes to an operand
 
-    def residues(self, a):
-        """a mod m as an array of the table's dtype; int64 entries too
-        large for int64 are reduced first."""
-        try:
-            return np.array(a, dtype=self.table.dtype) % self.m
-        except OverflowError:
-            return np.array([c % self.m for c in a], dtype=self.table.dtype)
+    def cast(self, a: Array) -> Array:
+        """An integer array of at most d entries, such as another ring's
+        residues, as residues of this ring in its dtype, padded with zeros
+        to length d: the one place a polynomial moves between rings."""
+        out = np.zeros(self.d, dtype=self.table.dtype)
+        out[: len(a)] = (a.astype(object) if out.dtype == object else a) % self.m
+        return out
 
 
-def _poly_mulmod(a: list[int], b: list[int], ring: _Ring) -> list[int]:
-    """a*b in the ring; inputs of length at most its degree d.
+def _poly_mulmod(a: Array, b: Array, ring: _Ring) -> Array:
+    """a*b in the ring, for a and b polynomials of it.
 
-    The residues are convolved in the ring's dtype, reduced mod m, and
-    the coefficients of degree >= d are folded back by one product with
-    the table of x^k mod f.  No value exceeds d(m-1)^2, so under the
-    ring's bound every step is exact in int64; past it the same steps run
-    on Python integers.
+    The residues are convolved, reduced mod m, and the coefficients of
+    degree >= d are folded back by one product with the table of x^k
+    mod f.  No value exceeds d(m-1)^2, so under the ring's bound every
+    step is exact in int64; past it the same steps run on Python integers.
     """
     d, m = ring.d, ring.m
-    if not a or not b:
-        return [0] * d
-    if len(a) > d or len(b) > d:
-        raise ValueError("operand longer than deg f")
-    va = ring.residues(a)
-    prod = np.convolve(va, va if b is a else ring.residues(b))
+    if len(a) != d or len(b) != d:
+        raise ValueError("operand length is not deg f")
+    prod = np.convolve(a, b)
     prod %= m
     low = prod[:d]
-    if len(prod) > d:
-        low += prod[d:] @ ring.table[: len(prod) - d]
+    if d > 1:
+        low += prod[d:] @ ring.table
         low %= m
-    return low.tolist() + [0] * (d - len(low))
+    return low
 
 
-def _poly_powmod(a: list[int], e: int, ring: _Ring) -> list[int]:
+def _poly_powmod(a: Array, e: int, ring: _Ring) -> Array:
     """a^e in the ring, e >= 0, by fl.power."""
     if e == 0:
-        return [1] + [0] * (ring.d - 1)
-    base = [c % ring.m for c in a] + [0] * (ring.d - len(a))
-    return fl.power(base, e, lambda x, y: _poly_mulmod(x, y, ring))
+        return ring.one
+    return fl.power(a, e, lambda x, y: _poly_mulmod(x, y, ring))
 
 
-def _poly_invmod(a: list[int], v: list[int], ring: _Ring, digits: int) -> list[int]:
+def _poly_invmod(a: Array, v: Array, ring: _Ring, digits: int) -> Array:
     """a^-1 in the ring by Newton's iteration v -> v(2 - av), from v a
     lift of the inverse of a's residue.  Each round doubles the pi-adic
     valuation of 1 - av, so ceil(log2(digits)) + 2 rounds reach the
     modulus, which holds that many pi-digits; it stops once av = 1,
     where further rounds leave v unchanged."""
     m = ring.m
-    one = [1] + [0] * (ring.d - 1)
     for _ in range(max(3, math.ceil(math.log2(digits)) + 2)):
         av = _poly_mulmod(a, v, ring)
-        if av == one:
+        if np.array_equal(av, ring.one):
             break
-        two_minus = [(-c) % m for c in av]
+        two_minus = -av % m
         two_minus[0] = (two_minus[0] + 2) % m
         v = _poly_mulmod(v, two_minus, ring)
     return v
@@ -204,12 +200,12 @@ def _cyclotomic_shifted(p: int, power: int) -> list[int]:
 def _frobenius_matrix(ring: _Ring) -> Array:
     """The matrix of c -> c^p on F_p[x]/(f), for ring = _Ring(f, p):
     column j is x^(jp); [[1]] when d = 1."""
-    cols = [[1] + [0] * (ring.d - 1)]
+    cols = [ring.one]
     if ring.d > 1:
-        xp = _poly_powmod([0, 1], ring.m, ring)
+        xp = _poly_powmod(ring.cast(np.array([0, 1])), ring.m, ring)
         while len(cols) < ring.d:
             cols.append(_poly_mulmod(cols[-1], xp, ring))
-    return np.array(cols, dtype=np.int64).T
+    return np.stack(cols, axis=1)
 
 
 def _gf_irreducible(f: list[int], p: int) -> bool:
@@ -287,16 +283,18 @@ KINDS = {"unramified": _unramified, "cyclotomic": _cyclotomic}
 # elements
 
 
-@dataclass
+@dataclass(eq=False)
 class LFElement:
     """pi^val * unit; unit None encodes zero (to precision aprec).
 
-    aprec is an absolute precision bound in pi-digits of the top field:
-    the represented value is correct modulo pi^aprec.  inf means exact.
+    unit is a polynomial of the tower's ring, an array; arrays do not
+    compare with ==, so values compare by LocalTower.eq.  aprec is an
+    absolute precision bound in pi-digits of the top field: the
+    represented value is correct modulo pi^aprec.  inf means exact.
     """
 
     val: int
-    unit: tuple[int, ...] | None
+    unit: Array | None
     aprec: int | float = math.inf
 
     @property
@@ -306,7 +304,7 @@ class LFElement:
     def __repr__(self):
         if self.is_zero:
             return f"LFElement(0, aprec={self.aprec})"
-        return f"LFElement(val={self.val}, unit~{list(self.unit[:3])}..., aprec={self.aprec})"
+        return f"LFElement(val={self.val}, unit~{self.unit[:3].tolist()}..., aprec={self.aprec})"
 
 
 class LocalTower:
@@ -361,7 +359,7 @@ class LocalTower:
         if self._x_val:
             if any(c % p for c in self.minpoly[:-1]) or self.minpoly[0] % p**2 == 0:
                 raise ValueError("pi = x needs an Eisenstein defining polynomial")
-            self._pi_unit = [(-c) // p for c in self.minpoly[:-1]]
+            self._pi_unit = np.array([(-c) // p for c in self.minpoly[:-1]], dtype=object)
 
         # the rings (Z/p^(cp+k))[x]/(minpoly) by k, each built on first
         # use: k = 0 for the tower's own arithmetic and, when pi = x,
@@ -378,10 +376,10 @@ class LocalTower:
         # (index k), or (None, None, p^k) when pi = p; delta -> pi^delta
         # for _shift
         self._strip_tables: dict[int, tuple] = {}
-        self._unit_inv_powers: list[list[int] | None] = []
-        self._shift_powers: dict[int, list[int]] = {}
+        self._unit_inv_powers: list[Array | None] = []
+        self._shift_powers: dict[int, Array] = {}
 
-        self._unit_one = (1,) + (0,) * (self.deg - 1)
+        self._unit_one = self.ring.one
         self.one = LFElement(0, self._unit_one)
         self.zero = LFElement(0, None)
         self.pi = LFElement(1, self._unit_one)
@@ -398,23 +396,30 @@ class LocalTower:
     def from_poly(self, coeffs) -> LFElement:
         """The element of an integer polynomial in x, known to pi^rel_cap:
         its coefficients are reduced mod p^cp = pi^rel_cap."""
-        c = self._reduce(coeffs)
-        if not any(c):
+        return self._from_array(self._reduce(coeffs))
+
+    def _from_array(self, c: Array) -> LFElement:
+        """The element of a polynomial of the tower's ring, known to
+        pi^rel_cap."""
+        if not c.any():
             return self.zero
         t = self._poly_val(c)
-        return LFElement(t, tuple(self._strip(c, t)), self.rel_cap)
+        return LFElement(t, self._strip(c, t), self.rel_cap)
 
     def from_int(self, c: int) -> LFElement:
         return self.from_poly([c])
 
-    def _reduce(self, coeffs) -> list[int]:
+    def _reduce(self, coeffs) -> Array:
         """An integer polynomial in x modulo the defining polynomial over Z
-        (it is monic), then modulo p^cp, as deg coefficients."""
+        (it is monic), then modulo p^cp, as a polynomial of the tower's
+        ring: the one place Python integers enter it."""
         c, f, d = [int(x) for x in coeffs], self.minpoly, self.deg
         for k in range(len(c) - 1, d - 1, -1):
             for j in range(d):
                 c[k - d + j] -= c[k] * f[j]
-        return [x % self.modulus for x in c[:d]] + [0] * (d - len(c))
+        out = np.zeros(d, dtype=self.ring.table.dtype)
+        out[: len(c)] = [x % self.modulus for x in c[:d]]
+        return out
 
     def zeta(self, k: int = 1) -> LFElement:
         """zeta^k for the tower's distinguished root of unity zeta."""
@@ -437,22 +442,18 @@ class LocalTower:
             ring = self._rings[k] = _Ring(self.minpoly, self.modulus * self.p**k)
         return ring
 
-    def _poly_val(self, c: list[int]) -> int:
-        """Valuation in pi-digits of a polynomial in the generator, 0 if
-        it is zero; the generator is pi (valuation 1) or a unit (0)."""
-        p, step = self.p, self._x_val
-        best = None
-        for k, x in enumerate(c):
-            if x:
-                v = 0
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                vv = self.e * v + step * k
-                best = vv if best is None else min(best, vv)
-        return 0 if best is None else best
+    def _poly_val(self, c: Array) -> int:
+        """Valuation in pi-digits of a nonzero polynomial in the generator,
+        which is pi (valuation 1) or a unit (0): e*v + k, for v the least
+        p-adic valuation of a coefficient and, when the generator is pi
+        (then e = deg > k), k the first index where it is reached."""
+        v, low = 0, c % self.p
+        while not low.any():
+            c = c // self.p
+            v, low = v + 1, c % self.p
+        return self.e * v + self._x_val * int(np.flatnonzero(low)[0])
 
-    def _strip(self, c: list[int], t: int) -> list[int]:
+    def _strip(self, c: Array, t: int) -> Array:
         """Exactly divide the polynomial by pi^t (valuation must allow it).
 
         Multiplies by q = p^k / pi^t, integral for k = ceil(t/e), modulo
@@ -460,15 +461,15 @@ class LocalTower:
         digits.  When pi = p, q = 1, and c is divided by p^k directly.
         """
         if t == 0:
-            return list(c)
+            return c
         table = self._strip_tables.get(t)
         if table is None:
             table = self._strip_tables[t] = self._strip_table(t)
         ring, q, pk = table
-        acc = c if q is None else _poly_mulmod(c, q, ring)
-        if any(x % pk for x in acc):
+        acc = c if q is None else _poly_mulmod(ring.cast(c), q, ring)
+        if (acc % pk).any():
             raise PrecisionError("strip below the honest valuation")
-        return [(x // pk) % self.modulus for x in acc]
+        return self.ring.cast(acc // pk)
 
     def _strip_table(self, t: int) -> tuple:
         """(ring mod p^(cp+k), q = p^k / pi^t in it, p^k), k = ceil(t/e);
@@ -489,24 +490,25 @@ class LocalTower:
         wide = self._ring(self.cp)
         powers = self._unit_inv_powers
         if not powers:
-            u = [x % wide.m for x in self._pi_unit]
-            powers += [None, _poly_invmod(u, self._residue_inverse(u), wide, 2 * self.rel_cap)]
+            u = wide.cast(self._pi_unit)
+            v = wide.cast(self._residue_inverse(u))
+            powers += [None, _poly_invmod(u, v, wide, 2 * self.rel_cap)]
         while len(powers) <= k:
             powers.append(_poly_mulmod(powers[-1], powers[1], wide))
-        q = [x % ring.m for x in powers[k]]
+        q = ring.cast(powers[k])
         s = k * e - t
         if s:
-            q = _poly_mulmod([0] * s + [1], q, ring)
-        return ring, _poly_trim(q), p**k
+            q = _poly_mulmod(ring.cast(fl.identity(self.deg)[s]), q, ring)
+        return ring, q, p**k
 
-    def _shift(self, c: list[int], delta: int) -> list[int]:
+    def _shift(self, c: Array, delta: int) -> Array:
         """Multiply a polynomial by pi^delta (delta >= 0)."""
         if delta == 0:
-            return list(c)
+            return c
         pd = self._shift_powers.get(delta)
         if pd is None:
-            pd = self._shift_powers[delta] = _poly_trim(
-                _poly_powmod(self._pi_poly, delta, self.ring)
+            pd = self._shift_powers[delta] = _poly_powmod(
+                self._reduce(self._pi_poly), delta, self.ring
             )
         return _poly_mulmod(c, pd, self.ring)
 
@@ -525,13 +527,13 @@ class LocalTower:
         delta = y.val - x.val
         if delta >= a - x.val:
             return LFElement(x.val, x.unit, a)
-        w = [(a + b) % self.modulus for a, b in zip(x.unit, self._shift(y.unit, delta))]
-        if all(v == 0 for v in w):
+        w = (x.unit + self._shift(y.unit, delta)) % self.modulus
+        if not w.any():
             return LFElement(0, None, a)
         t = self._poly_val(w)
         if x.val + t >= a:
             return LFElement(0, None, a)
-        return LFElement(x.val + t, tuple(self._strip(w, t)), a)
+        return LFElement(x.val + t, self._strip(w, t), a)
 
     def _clip(self, x: LFElement, aprec) -> LFElement:
         a = min(x.aprec, aprec)
@@ -542,7 +544,7 @@ class LocalTower:
     def neg(self, x: LFElement) -> LFElement:
         if x.is_zero:
             return x
-        return LFElement(x.val, tuple((-v) % self.modulus for v in x.unit), x.aprec)
+        return LFElement(x.val, -x.unit % self.modulus, x.aprec)
 
     def mul(self, x: LFElement, y: LFElement) -> LFElement:
         if x.is_zero or y.is_zero:
@@ -551,32 +553,31 @@ class LocalTower:
             return LFElement(0, None, a)
         u = _poly_mulmod(x.unit, y.unit, self.ring)
         val = x.val + y.val
-        return LFElement(val, tuple(u), min(x.aprec + y.val, y.aprec + x.val, val + self.rel_cap))
+        return LFElement(val, u, min(x.aprec + y.val, y.aprec + x.val, val + self.rel_cap))
 
     def inv(self, x: LFElement) -> LFElement:
         if x.is_zero:
             raise ZeroDivisionError("division by zero")
-        u = list(x.unit)
-        v = _poly_invmod(u, self._residue_inverse(u), self.ring, self.rel_cap)
-        return LFElement(-x.val, tuple(v), min(x.aprec - 2 * x.val, self.rel_cap - x.val))
+        v = self.ring.cast(self._residue_inverse(x.unit))
+        v = _poly_invmod(x.unit, v, self.ring, self.rel_cap)
+        return LFElement(-x.val, v, min(x.aprec - 2 * x.val, self.rel_cap - x.val))
 
-    def _residue_inverse(self, u: list[int]) -> list[int]:
-        """A lift of the inverse of u's residue a = u[:f] in F_p[x]/(r): the
-        product of the conjugates a^(p^k), 0 < k < f, each one product by
-        the Frobenius matrix, divided by the norm a^(1 + p + ... + p^(f-1))
-        in F_p; ZeroDivisionError when the norm is 0."""
+    def _residue_inverse(self, u: Array) -> Array:
+        """The inverse in F_p[x]/(r) of u's residue a, the cast of u[:f]:
+        the product of the conjugates a^(p^k), 0 < k < f, each one product
+        by the Frobenius matrix, divided by the norm a^(1 + p + ... +
+        p^(f-1)) in F_p; ZeroDivisionError when the norm is 0."""
         p, f, ring = self.p, self.f, self._res_ring
-        a = [c % p for c in u[:f]]
+        a = ring.cast(u[:f])
         # no product by one: none for the first conjugate, none when f = 1
-        inv, conj = [1] + [0] * (f - 1), a
+        inv, conj = ring.one, a
         for k in range(1, f):
-            conj = (self._res_frobenius @ conj % p).tolist()
+            conj = self._res_frobenius @ conj % p
             inv = _poly_mulmod(inv, conj, ring) if k > 1 else conj
-        norm = _poly_mulmod(inv, a, ring)[0] if f > 1 else a[0]
+        norm = int(_poly_mulmod(inv, a, ring)[0] if f > 1 else a[0])
         if norm == 0:
             raise ZeroDivisionError("not a unit")
-        c = pow(norm, p - 2, p)
-        return [v * c % p for v in inv] + [0] * (self.deg - f)
+        return inv * pow(norm, p - 2, p) % p
 
     def powi(self, x: LFElement, e: int) -> LFElement:
         """x^e by fl.power: popcount(e) + bitlength(e) - 2 products for
@@ -591,70 +592,60 @@ class LocalTower:
         """Equality of values to the available precision."""
         return self.add(x, self.neg(y)).is_zero
 
-    def residue(self, x: LFElement):
-        """Residue of a valuation-zero unit in F_p[x]/(r), as the tuple of
-        its first f coefficients mod p (when f < deg, r = x, so x^k
-        reduces to 0 for k >= f)."""
+    def residue(self, x: LFElement) -> Array:
+        """Residue of a valuation-zero unit in F_p[x]/(r), the cast of its
+        first f coefficients (when f < deg, r = x, so x^k reduces to 0
+        for k >= f)."""
         if x.is_zero or x.val != 0:
             raise ValueError("residue requires a valuation-zero unit")
         if x.aprec < self.e:
             raise PrecisionError("no full residue digit left")
-        return tuple(map(self.p.__rmod__, x.unit[: self.f]))
+        return self._res_ring.cast(x.unit[: self.f])
 
     # -- Galois action --------------------------------------------------------
 
-    def _galois_setup(self, gen_image: list[int]):
+    def _galois_setup(self, gen_image: Array):
         """Store sigma^k, k < p^n, for sigma(x) = gen_image; check its order.
 
         sigma^k = sigma sigma^(k-1) mod m in the ring's dtype: each entry
-        sums d products of residues, as in _compose."""
+        sums d products of residues, as in galois."""
         p, d, ring = self.p, self.deg, self.ring
         order = p**self.n
-        powers = [[1] + [0] * (d - 1), gen_image]
+        powers = [ring.one, gen_image]
         while len(powers) < d:
             powers.append(_poly_mulmod(powers[-1], gen_image, ring))
-        sigma = np.array(powers, dtype=ring.table.dtype).T
+        sigma = np.stack(powers, axis=1)
         self._sigma = [None, sigma]  # sigma^0 is never applied
         while len(self._sigma) < order:
             self._sigma.append(sigma @ self._sigma[-1] % ring.m)
         # images[k] = g_k = sigma^k(x), column 1 of sigma^k
-        images = [[0, 1] + [0] * (d - 2)] + [s[:, 1].tolist() for s in self._sigma[1:]]
-        images.append(self._compose(images[-1], sigma))
+        images = [self._reduce([0, 1])] + [s[:, 1] for s in self._sigma[1:]]
+        images.append(sigma @ images[-1] % ring.m)
 
         # the units sigma^k(pi)/pi: when pi = x they are g_k/x, known to
         # as many digits as g_k; pi = p is fixed by sigma, and galois then
         # has nothing to multiply by
         self._sigma_pi_units = None
         if self._x_val:
-            units = [self.from_poly(g) for g in images[:order]]
+            units = [self._from_array(g) for g in images[:order]]
             if any(u.val != 1 for u in units):
                 raise ValueError("generator image is not a uniformizer")
             self._sigma_pi_units = [LFElement(0, u.unit, u.aprec - u.val) for u in units]
         # exact order: sigma^(p^n) = 1 and sigma^(p^(n-1)) != 1, read on x
         # as sigma^k(x^j) = g_k^j; g_k - x is compared at its tracked
         # precision in pi-digits
-        x = self.from_poly(images[0])
-        if not self.eq(self.from_poly(images[order]), x):
+        x = self._from_array(images[0])
+        if not self.eq(self._from_array(images[order]), x):
             raise ValueError("generator does not have order p^n")
-        if self.eq(self.from_poly(images[order // p]), x):
+        if self.eq(self._from_array(images[order // p]), x):
             raise ValueError("non-cyclic configuration: generator order too small")
 
-    def _compose(self, u, sigma) -> list[int]:
-        """u(g) in the tower's ring, for sigma the matrix whose column j is g^j.
-
-        Each entry of sigma @ u sums d products of residues, at most
-        d(m-1)^2: exact in int64 under the ring's bound, and in Python
-        ints past it."""
-        ring = self.ring
-        return (sigma @ ring.residues(u) % ring.m).tolist()
-
-    def _frobenius_root(self) -> list[int]:
+    def _frobenius_root(self) -> Array:
         """Hensel-lifted Frobenius image of the unramified generator: the
         root of the defining polynomial that reduces to x^p."""
-        w = [0, 1] + [0] * (self.deg - 2)
         deriv = [(k * c) % self.modulus for k, c in enumerate(self.minpoly)][1:]
         root = self._newton(
-            self.from_poly(_poly_powmod(w, self.p, self.ring)),
+            self._from_array(_poly_powmod(self._reduce([0, 1]), self.p, self.ring)),
             lambda r: (self._eval_intpoly(self.minpoly, r), self._eval_intpoly(deriv, r)),
         )
         return self._as_poly(root)
@@ -676,19 +667,21 @@ class LocalTower:
             acc = self.add(self.mul(acc, x), self.from_int(c))
         return acc
 
-    def _as_poly(self, x: LFElement) -> list[int]:
+    def _as_poly(self, x: LFElement) -> Array:
         if x.is_zero:
-            return [0] * self.deg
+            return np.zeros(self.deg, dtype=self.ring.table.dtype)
         if x.val < 0:
             raise ValueError("element is not integral")
-        return self._shift(list(x.unit), x.val)
+        return self._shift(x.unit, x.val)
 
     def galois(self, x: LFElement, k: int = 1) -> LFElement:
         """sigma^k applied to an element."""
         k %= self.p**self.n
         if k == 0 or x.is_zero:
             return x
-        img = LFElement(x.val, tuple(self._compose(x.unit, self._sigma[k])), x.aprec)
+        # each entry sums d products of residues, at most d(m-1)^2: exact
+        # in int64 under the ring's bound, and in Python ints past it
+        img = LFElement(x.val, self._sigma[k] @ x.unit % self.modulus, x.aprec)
         if self._sigma_pi_units is None:
             return img
         return self.mul(img, self.powi(self._sigma_pi_units[k], x.val))
@@ -739,15 +732,16 @@ class LocalTower:
                 raise AssertionError("residue subfield has wrong dimension")
         return sub
 
-    def teichmuller(self, residue) -> LFElement:
-        """The Teichmuller lift of a residue, the root of X^q = X reducing to
-        it (q = p^f); it lies in K_i when the residue is one of K_i."""
+    def teichmuller(self, residue: Array) -> LFElement:
+        """The Teichmuller lift of a residue in F_p[x]/(r), the root of
+        X^q = X reducing to it (q = p^f); it lies in K_i when the residue
+        is one of K_i."""
         p = self.p
-        if all(v % p == 0 for v in residue):
+        if not (residue % p).any():
             return self.zero
         if self.f == 1:
             # r^(p^k) = omega(r) mod p^(k+1), so one integer power lifts r
-            r = residue[0] % p
+            r = int(residue[0]) % p
             return self.one if r == 1 else self.from_int(pow(r, p ** (self.cp - 1), self.modulus))
         q = p**self.f
         q_el, minus_one = self.from_int(q), self.neg(self.one)
@@ -757,13 +751,14 @@ class LocalTower:
             return (self.add(self.mul(x, xq1), self.neg(x)),
                     self.add(self.mul(q_el, xq1), minus_one))
 
-        return self._newton(self.from_poly(list(residue)), step)
+        return self._newton(self._from_array(self.ring.cast(residue)), step)
 
-    def _residue_frob_inverse(self, residue):
-        """delta with delta^p = residue in F_p[x]/(r): residue^(p^(f-1))."""
-        p, f = self.p, self.f
-        out = _poly_powmod(list(residue), p ** (f - 1), self._res_ring)
-        return tuple(out + [0] * (f - len(out)))
+    def _residue_frob_inverse(self, residue: Array) -> Array:
+        """delta with delta^p = residue in F_p[x]/(r): Frobenius^(f-1) of
+        the residue, f - 1 products by the Frobenius matrix."""
+        for _ in range(self.f - 1):
+            residue = self._res_frobenius @ residue % self.p
+        return residue
 
     # -- p-th roots ----------------------------------------------------------------
 
@@ -857,7 +852,7 @@ class _LevelClasses:
         # the residue field of K_i: a residue in it has its coordinates on
         # the RREF basis at the basis's pivot columns
         self.res_field = tower._residue_field(i)
-        self.res_basis = self.res_field.basis.tolist()
+        self.res_basis = self.res_field.basis
         frob = fl.matmul(tower._res_frobenius, self.res_field.basis.T, p)
         self._frob_sub = frob[self.res_field.pivots]
         self._crit_map = self._artin_schreier_map(tower)
@@ -873,22 +868,15 @@ class _LevelClasses:
                 f"level {i}: computed {self.dim} classes, classical count is {expected}"
             )
 
-    def _res_coords(self, residue) -> Array:
-        gamma = np.array(residue, dtype=np.int64)
+    def _res_coords(self, gamma: Array) -> Array:
         if self.res_field.dim == self.f:
             return gamma  # all of F_p[x]/(r), whose RREF basis is the identity
         if not self.res_field.contains(gamma):
             raise AssertionError("leading coefficient escaped the residue subfield")
         return gamma[self.res_field.pivots]
 
-    def _res_from_coords(self, t: LocalTower, coords) -> LFElement:
-        p = self.p
-        acc = [0] * self.f
-        for c, b in zip(coords, self.res_basis):
-            if int(c) % p:
-                for k, bv in enumerate(b):
-                    acc[k] = (acc[k] + int(c) * bv) % p
-        return t.teichmuller(acc)
+    def _res_from_coords(self, t: LocalTower, coords: Array) -> LFElement:
+        return t.teichmuller(coords % self.p @ self.res_basis % self.p)
 
     def _artin_schreier_map(self, t: LocalTower) -> Array | None:
         """c -> c^p + eta*c on subfield coordinates, eta the residue of
@@ -899,9 +887,8 @@ class _LevelClasses:
         unit = t.mul(t.from_int(p), t.powi(self.pi_i_inv, self.e_i))
         if unit.val != 0:
             raise AssertionError("p/pi_i^e_i is not a unit")
-        eta = list(t.residue(unit))
-        eta_b = np.array([_poly_mulmod(eta, b, t._res_ring) for b in self.res_basis],
-                         dtype=np.int64)
+        eta = t.residue(unit)
+        eta_b = np.stack([_poly_mulmod(eta, b, t._res_ring) for b in self.res_basis])
         return (self._frob_sub + eta_b.T[self.res_field.pivots]) % p
 
     def _free_map(self, j: int) -> Array | None:
@@ -1000,7 +987,7 @@ class _LevelClasses:
         v = t.level_val(self.i, x)
         unit = t.mul(x, t.powi(self.pi_i_inv, v)) if v else x
         res = t.residue(unit)
-        if res != t._unit_one[: self.f]:
+        if not np.array_equal(res, t._res_ring.one):
             unit = t.mul(unit, t.inv(t.teichmuller(res)))
         coords, _, lead = self._reduce(t, unit)
         if lead is not None:
