@@ -45,9 +45,10 @@ p^(cp+k) of ``_strip`` when pi = x (p^(2cp) among them), and F_p[x]/(r)
 for residues.  Each tower caches the uniformizer powers its valuation
 machinery reuses: the multiplier p^k / pi^t, k = ceil(t/e), that
 ``_strip`` divides by pi^t with, and pi^delta for ``_shift``.  When
-pi = p, ``_strip`` divides by p^t directly, with no multiplier; when
-pi = x, pi^e = p*u for the unit
-u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the Eisenstein polynomial, and
+pi = p, ``_strip`` divides by p^t directly, with no multiplier, and
+``_shift`` multiplies by the integer p^delta mod p^cp; when pi = x,
+pi^e = p*u for the unit u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the
+Eisenstein polynomial, and
 the multiplier is x^s * u^-k, s = ke - t, from powers of u^-1 kept per
 tower.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops once
 uv = 1, where further rounds leave v unchanged.  ``powi`` and
@@ -71,7 +72,12 @@ being column 1 of sigma^k, at its tracked precision in pi-digits.
 Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
 an additive Artin-Schreier step c -> c^p + eta*c at the critical level,
-and a new basis class at each remaining slot.  Membership in the p-th
+and a new basis class at each remaining slot.  Each level keeps the
+factors its walk cancels with, built on first use: the pair (base,
+base^-p) of a free cancellation by (level s, solved coordinates mod p),
+and the power c of the inverse of unit basis record idx by (idx, c).
+The class basis is built from pi_i^j as a running product, with each
+residue basis vector lifted once.  Membership in the p-th
 powers is decided by the same walk at the top level (pth_root): x is a
 p-th power iff the walk leaves no class coordinate and no uncancelled
 level, and the root is assembled from the Teichmuller root of the
@@ -84,7 +90,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product, repeat
 
 import numpy as np
 
@@ -374,7 +380,7 @@ class LocalTower:
         # per-tower powers of the uniformizer: t -> (ring mod p^(cp+k),
         # p^k / pi^t in it, p^k) for _strip, built from u^-k mod p^(2cp)
         # (index k), or (None, None, p^k) when pi = p; delta -> pi^delta
-        # for _shift
+        # for _shift when pi = x
         self._strip_tables: dict[int, tuple] = {}
         self._unit_inv_powers: list[Array | None] = []
         self._shift_powers: dict[int, Array] = {}
@@ -502,9 +508,15 @@ class LocalTower:
         return ring, q, p**k
 
     def _shift(self, c: Array, delta: int) -> Array:
-        """Multiply a polynomial by pi^delta (delta >= 0)."""
+        """Multiply a polynomial by pi^delta (delta >= 0).
+
+        When pi = p, pi^delta is the integer p^delta mod p^cp, and the
+        product is one scalar product per residue, each below (m-1)^2:
+        exact in int64 under the ring's bound."""
         if delta == 0:
             return c
+        if not self._x_val:
+            return c * pow(self.p, delta, self.modulus) % self.modulus
         pd = self._shift_powers.get(delta)
         if pd is None:
             pd = self._shift_powers[delta] = _poly_powmod(
@@ -838,7 +850,12 @@ class _LevelClasses:
     """Echelonized basis of K_i^x/(K_i^x)^p, with coordinates.
 
     It keeps no tower, so the tower that keeps it is in no reference
-    cycle: the methods that do arithmetic take the tower first."""
+    cycle: the methods that do arithmetic take the tower first.  It keeps
+    the factors its walk (``_reduce``) cancels with, each built on first
+    use: by (s, solved coordinates mod p), the pair (base, base^-p) of the
+    p-th power that cancels level s, and by (idx, c), the power c of the
+    inverse of unit basis record idx.  unit_basis only grows, so a key
+    stays valid while _build appends records."""
 
     def __init__(self, tower: LocalTower, i: int):
         self.p = p = tower.p
@@ -858,6 +875,9 @@ class _LevelClasses:
         self._crit_map = self._artin_schreier_map(tower)
         # records: (reduced element, its inverse, filtration level, leading coords)
         self.unit_basis: list[tuple[LFElement, LFElement, int, Array]] = []
+        # the cancelling factors of _reduce (see the class docstring)
+        self._free_factors: dict[tuple, tuple[LFElement, LFElement]] = {}
+        self._basis_factors: dict[tuple[int, int], LFElement] = {}
         self._build(tower)
         self.basis_elements = [self.pi_i] + [b for b, _, _, _ in self.unit_basis]
         self.dim = len(self.basis_elements)
@@ -899,14 +919,21 @@ class _LevelClasses:
             return self._frob_sub
         return None
 
-    def _free_base(self, t: LocalTower, j: int, delta_coords) -> LFElement:
-        """The element whose p-th power cancels level j."""
-        if self.crit is not None and j == self.crit:
-            texp = self.e_i // (self.p - 1)
-        else:
-            texp = j // self.p
-        lift = self._res_from_coords(t, delta_coords)
-        return t.add(t.one, t.mul(lift, t.powi(self.pi_i, texp)))
+    def _free_factor(self, t: LocalTower, j: int, delta_coords: Array):
+        """(base, base^-p) for the element base whose p-th power cancels
+        level j with the solved coordinates delta_coords; built once per
+        (j, coordinates mod p)."""
+        key = (j, tuple(int(c) % self.p for c in delta_coords))
+        pair = self._free_factors.get(key)
+        if pair is None:
+            if self.crit is not None and j == self.crit:
+                texp = self.e_i // (self.p - 1)
+            else:
+                texp = j // self.p
+            lift = self._res_from_coords(t, delta_coords)
+            base = t.add(t.one, t.mul(lift, t.powi(self.pi_i, texp)))
+            pair = self._free_factors[key] = base, t.inv(t.powi(base, self.p))
+        return pair
 
     def _leading(self, t: LocalTower, u: LFElement):
         """(filtration level, leading coords) of a 1-unit, or (None, None)
@@ -962,19 +989,24 @@ class _LevelClasses:
                 c = int(c) % p
                 if c:
                     coords[idx] = (coords[idx] + c) % p
-                    u = t.mul(u, t.powi(self.unit_basis[idx][1], c))
+                    factor = self._basis_factors.get((idx, c))
+                    if factor is None:
+                        factor = self._basis_factors[idx, c] = t.powi(self.unit_basis[idx][1], c)
+                    u = t.mul(u, factor)
             if free is not None and np.any(sol[k:] % p):
-                base = self._free_base(t, s, sol[k:])
+                base, factor = self._free_factor(t, s, sol[k:])
                 if bases is not None:
                     bases.append(base)
-                u = t.mul(u, t.inv(t.powi(base, p)))
+                u = t.mul(u, factor)
         raise AssertionError("reduction loop failed to converge")
 
     def _build(self, t: LocalTower):
-        for j in range(1, self.jstar + 1):
-            for res in self.res_basis:
-                lift = t.teichmuller(res)
-                cand = t.add(t.one, t.mul(lift, t.powi(self.pi_i, j)))
+        # each residue basis vector is lifted once, and pi_i^j, j = 1, ...,
+        # jstar, is a running product
+        lifts = [t.teichmuller(res) for res in self.res_basis]
+        for pi_j in accumulate(repeat(self.pi_i, self.jstar), t.mul):
+            for lift in lifts:
+                cand = t.add(t.one, t.mul(lift, pi_j))
                 _, red, lead = self._reduce(t, cand)
                 if lead is not None:
                     lv, coords = lead

@@ -212,6 +212,51 @@ def test_pth_root_agrees_with_class_of(spec):
             assert not tw.is_pth_power(z)
 
 
+def test_class_of_builds_each_cancelling_factor_once(monkeypatch):
+    """The products of class_of on a pinned tower: a walk takes the
+    factors the level keeps, so a repeated walk builds none of them."""
+    tw = make_tower(3, "cyclotomic", 2, 100)
+    n = tw.n
+    x = tw.from_poly(list(range(1, tw.deg + 1)))
+    y = tw.galois(tw.class_basis(n)[3], 1)
+    products = []
+    mulmod = lf._poly_mulmod
+    monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    counts = []
+    for z in (x, x, y, y):
+        products.clear()
+        tw.class_of(n, z)
+        counts.append(len(products))
+    # each walk rebuilt its factors before: 51, 51, 26, 26
+    assert counts == [50, 17, 10, 9]
+
+
+def test_pth_root_reuses_the_free_factors_of_its_level(monkeypatch):
+    tw = make_tower(3, "cyclotomic", 2, 100)
+    p, top = tw.p, tw.classes(tw.n)
+    built = set(top._free_factors)  # those the class basis walks made
+    x1 = tw.powi(_seeded_unit(tw, random.Random(3)), p)
+    # z - 1 lies past jstar/p, so z^p - 1 lies past jstar: the walk of x2
+    # meets the leading terms of the walk of x1
+    z = tw.add(tw.one, tw.powi(tw.pi, top.jstar // p + 1))
+    x2 = tw.mul(x1, tw.powi(z, p))
+    assert not tw.eq(x1, x2)
+    root = tw.pth_root(x1)
+    assert tw.eq(tw.powi(root, p), x1)
+    after_first = set(top._free_factors)
+    assert after_first > built
+    levels = []
+    free_factor = top._free_factor
+    monkeypatch.setattr(top, "_free_factor", lambda t, j, c: levels.append(j) or free_factor(t, j, c))
+    root = tw.pth_root(x2)
+    assert tw.eq(tw.powi(root, p), x2)
+    assert levels and set(top._free_factors) == after_first
+    # a fresh tower of the same spec owns its own factors
+    fresh = make_tower(3, "cyclotomic", 2, 100)
+    assert fresh._classes == {}
+    assert set(fresh.classes(fresh.n)._free_factors) == built
+
+
 def test_no_root_of_unity_in_an_unramified_tower(unram3):
     for call in (unram3.zeta, unram3.zeta_p, lambda: kummer_generators(unram3)):
         with pytest.raises(ValueError):
@@ -607,19 +652,20 @@ def test_strip_tables_match_the_p_over_pi_power(spec):
                          ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_unramified_strip_divides_without_a_product(spec, monkeypatch):
     # pi = p: c / p^t is read off c directly, with no product by 1 and no
-    # widened ring p^(cp+t)
+    # widened ring p^(cp+t), and c * p^t is one scalar product
     tw = make_tower(*spec)
     rng = random.Random(repr(spec))
-    cases = []
-    for t in (1, 2, 5):
-        y = [rng.randrange(tw.modulus) for _ in range(tw.deg)]
-        y[0] = y[0] * tw.p + 1
-        cases.append((tw._shift(tw._reduce(y), t), t))
     products = []
     mulmod = lf._poly_mulmod
     monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
-    for c, t in cases:
-        assert tw._strip(c, t).tolist() == strip_by_p_over_pi(tw, c, t)
+    for t in (1, 2, 5, tw.cp):
+        y = [rng.randrange(tw.modulus) for _ in range(tw.deg)]
+        y[0] = y[0] * tw.p + 1
+        c = tw._shift(tw._reduce(y), t)
+        want = schoolbook_mulmod(tw._reduce(y).tolist(), [tw.p**t], tw.fpoly, tw.modulus)
+        assert c.dtype == tw.ring.table.dtype and c.tolist() == want
+        if t < tw.cp:
+            assert tw._strip(c, t).tolist() == strip_by_p_over_pi(tw, c, t)
     assert not products and set(tw._rings) == {0}
 
 
