@@ -919,7 +919,9 @@ class _LevelClasses:
             return self._frob_sub
         return None
 
-    def _free_factor(self, t: LocalTower, j: int, delta_coords: Array):
+    def _free_factor(
+        self, t: LocalTower, j: int, delta_coords: Array
+    ) -> tuple[LFElement, LFElement]:
         """(base, base^-p) for the element base whose p-th power cancels
         level j with the solved coordinates delta_coords; built once per
         (j, coordinates mod p)."""

@@ -227,7 +227,6 @@ def test_class_of_builds_each_cancelling_factor_once(monkeypatch):
         products.clear()
         tw.class_of(n, z)
         counts.append(len(products))
-    # each walk rebuilt its factors before: 51, 51, 26, 26
     assert counts == [50, 17, 10, 9]
 
 
