@@ -59,8 +59,11 @@ F_q = F_p[x]/(r) has one method beside its ring, the matrix of
 Frobenius c -> c^p: an inverse is the product of the conjugates divided
 by the norm, which lies in F_p, a p-th root is Frobenius^(f-1), and
 Berlekamp's rank criterion on the same matrix decides irreducibility.
-The Hensel-lifted Frobenius root and the Teichmuller lifts are roots
-found by one Newton loop.
+Newton's iteration finds the Hensel-lifted Frobenius root.  A Teichmuller
+lift is one closed formula, omega(r) = phi^(-k)(w^(p^k)) for any lift w
+of r and k = cp - 1: one power and one sigma^(-k), as sigma is the
+Frobenius phi when f > 1, which the constructor checks on sigma(x) mod p.
+A residue in F_p lifts as the integer r^(p^k) mod p^cp.
 
 sigma is fixed by g = sigma(x), the cyclotomic power (1 + x)^u - 1 or
 the Hensel-lifted Frobenius root.  sigma is stored as the d x d matrix,
@@ -651,27 +654,25 @@ class LocalTower:
             raise ValueError("generator does not have order p^n")
         if self.eq(self._from_array(images[order // p]), x):
             raise ValueError("non-cyclic configuration: generator order too small")
+        # teichmuller reads sigma as the Frobenius when f > 1: g = x^p mod p
+        if self.f > 1 and not np.array_equal(
+            self._res_ring.cast(gen_image[: self.f]), self._res_frobenius[:, 1]
+        ):
+            raise ValueError("generator does not reduce to the Frobenius x -> x^p")
 
     def _frobenius_root(self) -> Array:
         """Hensel-lifted Frobenius image of the unramified generator: the
-        root of the defining polynomial that reduces to x^p."""
+        root of the defining polynomial g that reduces to x^p, by Newton's
+        iteration x -> x - g(x)/g'(x) from x^p; it stops once g(x) reads
+        zero, or after ceil(log2(rel_cap)) + 3 rounds."""
         deriv = [(k * c) % self.modulus for k, c in enumerate(self.minpoly)][1:]
-        root = self._newton(
-            self._from_array(_poly_powmod(self._reduce([0, 1]), self.p, self.ring)),
-            lambda r: (self._eval_intpoly(self.minpoly, r), self._eval_intpoly(deriv, r)),
-        )
-        return self._as_poly(root)
-
-    def _newton(self, x: LFElement, step) -> LFElement:
-        """Newton's iteration x -> x - g(x)/g'(x), step(x) = (g(x), g'(x)),
-        from x; it stops once g(x) reads zero, or after
-        ceil(log2(rel_cap)) + 3 rounds."""
+        x = self._from_array(_poly_powmod(self._reduce([0, 1]), self.p, self.ring))
         for _ in range(math.ceil(math.log2(self.rel_cap)) + 3):
-            gx, dgx = step(x)
+            gx = self._eval_intpoly(self.minpoly, x)
             if gx.is_zero:
                 break
-            x = self.add(x, self.neg(self.mul(gx, self.inv(dgx))))
-        return x
+            x = self.add(x, self.neg(self.mul(gx, self.inv(self._eval_intpoly(deriv, x)))))
+        return self._as_poly(x)
 
     def _eval_intpoly(self, coeffs: list[int], x: LFElement) -> LFElement:
         acc = self.zero
@@ -694,7 +695,7 @@ class LocalTower:
         # each entry sums d products of residues, at most d(m-1)^2: exact
         # in int64 under the ring's bound, and in Python ints past it
         img = LFElement(x.val, self._sigma[k] @ x.unit % self.modulus, x.aprec)
-        if self._sigma_pi_units is None:
+        if self._sigma_pi_units is None or x.val == 0:
             return img
         return self.mul(img, self.powi(self._sigma_pi_units[k], x.val))
 
@@ -745,25 +746,20 @@ class LocalTower:
         return sub
 
     def teichmuller(self, residue: Array) -> LFElement:
-        """The Teichmuller lift of a residue in F_p[x]/(r), the root of
-        X^q = X reducing to it (q = p^f); it lies in K_i when the residue
-        is one of K_i."""
-        p = self.p
+        """The Teichmuller lift omega of a residue r in F_p[x]/(r), the root
+        of X^q = X reducing to it (q = p^f); it lies in K_i when r is a
+        residue of K_i.  sigma is the Frobenius phi, so for any lift w of r,
+        w^(p^k) = phi^k(omega) mod p^(k+1), and k = cp - 1 gives omega =
+        phi^(-k)(w^(p^k)); an r in F_p is fixed by phi and lifts as the
+        integer r^(p^k) mod p^cp."""
+        p, k = self.p, self.cp - 1
         if not (residue % p).any():
             return self.zero
-        if self.f == 1:
-            # r^(p^k) = omega(r) mod p^(k+1), so one integer power lifts r
+        if not residue[1:].any():
             r = int(residue[0]) % p
-            return self.one if r == 1 else self.from_int(pow(r, p ** (self.cp - 1), self.modulus))
-        q = p**self.f
-        q_el, minus_one = self.from_int(q), self.neg(self.one)
-
-        def step(x):  # g = x^q - x and g' = q x^(q-1) - 1 share x^(q-1)
-            xq1 = self.powi(x, q - 1)
-            return (self.add(self.mul(x, xq1), self.neg(x)),
-                    self.add(self.mul(q_el, xq1), minus_one))
-
-        return self._newton(self._from_array(self.ring.cast(residue)), step)
+            return self.one if r == 1 else self.from_int(pow(r, p**k, self.modulus))
+        w = self.powi(self._from_array(self.ring.cast(residue)), p**k)
+        return self.galois(w, -k)
 
     def _residue_frob_inverse(self, residue: Array) -> Array:
         """delta with delta^p = residue in F_p[x]/(r): Frobenius^(f-1) of

@@ -73,11 +73,31 @@ def test_mul_inverse(unram3):
     assert tw.eq(tw.mul(x, tw.inv(x)), tw.one)
 
 
-def test_frobenius_on_teichmuller(unram3):
-    tw = unram3
-    # sigma fixes Teichmuller representatives up to the p-th power map
-    omega = tw.teichmuller(np.array([0, 1, 0]))
-    assert tw.eq(tw.galois(omega, 1), tw.powi(omega, 3))
+@pytest.mark.parametrize(
+    "spec", [(3, "unramified", 1, 40), (3, "unramified", 2, 28), (5, "unramified", 1, 28)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_frobenius_on_teichmuller(spec, monkeypatch):
+    # the lift omega of every level's residue basis vector r: sigma, the
+    # Frobenius, sends omega to omega^p, omega^q = omega for q = p^f,
+    # omega reduces to r, and sigma^(p^i) fixes it on level i
+    tw = make_tower(*spec)
+    p, q = tw.p, tw.p**tw.f
+    for i in range(tw.n + 1):
+        for r in tw._residue_field(i).basis:
+            omega = tw.teichmuller(r)
+            assert tw.eq(tw.galois(omega, 1), tw.powi(omega, p))
+            assert tw.eq(tw.powi(omega, q), omega)
+            assert np.array_equal(tw.residue(omega), r)
+            assert tw.eq(tw.galois(omega, p**i), omega)
+    # a residue in F_p lifts by an integer power, with no product
+    products = []
+    mulmod = lf._poly_mulmod
+    monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    for c in range(1, p):
+        omega = tw.teichmuller(np.array([c] + [0] * (tw.f - 1)))
+        assert omega.val == 0 and tw.residue(omega)[0] == c
+    assert not products
 
 
 def test_norms_are_fixed(unram3):
@@ -932,6 +952,25 @@ def test_galois_matches_matrix_oracle(spec):
         assert tw.galois(x, 0) is x and tw.galois(x, tw.p**tw.n) is x
 
 
+def test_galois_of_a_unit_makes_no_product(monkeypatch):
+    # sigma^k(pi)/pi to the power 0 is one: a unit's image is the matrix
+    # product alone, and an exact unit stays exact
+    tw = make_tower(3, "cyclotomic", 2, 100)
+    mats = sigma_matrix_powers(tw)
+    units = [_seeded_unit(tw, random.Random(7)), tw.from_poly([1, 2, 0, 1])]
+    units.append(lf.LFElement(0, units[1].unit))
+    order = tw.p**tw.n
+    wants = [[matrix_galois(tw, mats, u, k) for k in range(1, order)] for u in units]
+    products = []
+    mulmod = lf._poly_mulmod
+    monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    for u, want in zip(units, wants):
+        for k, w in zip(range(1, order), want):
+            got = tw.galois(u, k)
+            assert fields(got)[:2] == fields(w)[:2] and got.aprec == u.aprec
+    assert not products
+
+
 @pytest.mark.parametrize("spec", list(GALOIS_TOWERS)[::2], ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_galois_powers_compose(spec):
     tw = make_tower(*spec)
@@ -987,6 +1026,16 @@ def test_order_check_refuses_the_identity(monkeypatch):
         make_tower(3, "unramified", 1, 40)
 
 
+def test_frobenius_check_refuses_another_generator(monkeypatch):
+    # phi^2 generates Gal(K/Q_p) as well, and passes the order check, but
+    # the Teichmuller lift needs sigma = phi, x -> x^p mod p
+    ref = make_tower(3, "unramified", 1, 40)
+    phi2 = ref._sigma[2][:, 1].copy()
+    monkeypatch.setattr(lf.LocalTower, "_frobenius_root", lambda self: phi2)
+    with pytest.raises(ValueError, match="Frobenius"):
+        make_tower(3, "unramified", 1, 40)
+
+
 # sha256 of the datum JSON `galmod local` writes for these towers
 # (datum_to_json, indent 1, one trailing newline)
 LOCAL_DIGESTS = {
@@ -1002,6 +1051,7 @@ LOCAL_DIGESTS = {
     (7, "cyclotomic", 1, 192): "4b6b2f00e424b08038d0df673fdbc752bc28b4ce654ab240b7e0f7162b211cc3",
     (3, "cyclotomic", 3, 240): "6385c3a483fbed8d84aa0e87e895abe6112c2fbe7b26f44115dec893e46e9475",
     (5, "cyclotomic", 2, 424): "a87311065e222421f5b336412247c918b056d20e8948b94d90657df8c80ec543",
+    (3, "unramified", 3, 28): "68f33d59fc79935427a9844843f9180941674cf70cbdcf4020113cde8c0aab7a",
 }
 
 
