@@ -151,8 +151,7 @@ def _cmd_synth(args) -> int:
             p=args.p, n=args.n, m=m, e=e, xi_in_F=args.xi,
             minus_one_is_norm=m1, shuffle_seed=args.seed,
         )
-        params.check()
-    d = synthesize(params)
+        d = synthesize(params)
     created = not os.path.lexists(args.out)
     _write(args.out, datum_to_json(d))
     if args.sidecar:

@@ -924,12 +924,10 @@ class _LevelClasses:
         key = (j, tuple(int(c) % self.p for c in delta_coords))
         pair = self._free_factors.get(key)
         if pair is None:
-            if self.crit is not None and j == self.crit:
-                texp = self.e_i // (self.p - 1)
-            else:
-                texp = j // self.p
+            # base = 1 + lift*pi_i^(j // p); at the critical level
+            # j = p*e_i/(p-1) this exponent is e_i/(p-1)
             lift = self._res_from_coords(t, delta_coords)
-            base = t.add(t.one, t.mul(lift, t.powi(self.pi_i, texp)))
+            base = t.add(t.one, t.mul(lift, t.powi(self.pi_i, j // self.p)))
             pair = self._free_factors[key] = base, t.inv(t.powi(base, self.p))
         return pair
 

@@ -4,8 +4,10 @@ synthesize() reads the theorem statements backwards.  J is assembled
 block-diagonally (one Jordan block per cyclic summand), the subfield
 images are the theorem's clause-(3) subspaces, the norm maps are lifts
 of (sigma-1)^(p^n - p^i) through eps extended into the a_i line by the
-dual coordinate of the X generator, and an optional seeded basis change
-hides the canonical coordinates.
+dual coordinate of the X generator, and level n is J itself.  An
+optional seeded basis change hides the canonical coordinates; it is
+drawn before any level is built, so each level is built once, directly
+in the coordinates the datum returns.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _coords(im_eps: Subspace, w: Array) -> Array:
 
 
 def synthesize(params: SynthParams) -> GaloisDatum:
-    """A canonical datum whose decomposition is known by construction."""
+    """A datum whose decomposition is known by construction."""
     params.check()
     p, n, m = params.p, params.n, params.m
     ranks = params.y_ranks()
@@ -98,33 +100,41 @@ def synthesize(params: SynthParams) -> GaloisDatum:
     y_sizes = [p**i for i in range(n, -1, -1) for _ in range(ranks[i])]
     sigma = gmod.jordan_sigma(p, [x_size, *y_sizes])
     dim = sigma.shape[0]
-    jmod = gmod.make_module(p, n, sigma)
+    canon = gmod.make_module(p, n, sigma)
     y_ends = x_size + np.cumsum(y_sizes, dtype=int)
+
+    # a seeded basis change P hides the canonical coordinates: J's
+    # generator is P sigma P^-1, and each level's eps and norm are taken
+    # through P as they are built
+    if params.shuffle_seed is None:
+        pmat = pinv = None
+        jmod = canon
+    else:
+        pmat = fl.random_invertible(p, dim, random.Random(params.shuffle_seed))
+        pinv = fl.inverse(pmat, p)
+        jmod = gmod.make_module(p, n, fl.matmul(fl.matmul(pmat, sigma, p), pinv, p))
 
     # the X-generator dual coordinate drives every norm's a_i component
     phi = np.zeros(dim, dtype=np.int64)
     if m is not None:
         phi[0] = 1
 
+    with_a = params.xi_in_F  # every level below n carries an a-class
     levels: list[LevelData] = []
     images: list[Subspace] = []
-    for i in range(n + 1):
-        # im eps_i is spanned by coordinates: all of J at level n; below it
-        # Y^{H_i} (the last min(p^i, size) of each Y block) and the X part
-        # (sigma-1)^k X (the X coordinates from k on)
-        if i == n:
-            cols = list(range(dim))
-        else:
-            cols = [
-                c
-                for end, size in zip(y_ends, y_sizes)
-                for c in range(end - min(p**i, size), end)
-            ]
-            if m is not None:
-                cols.extend(range(x_exponent(p, m, i), x_size))
+    for i in range(n):
+        # im eps_i is spanned by coordinates: Y^{H_i} (the last
+        # min(p^i, size) of each Y block) and the X part (sigma-1)^k X
+        # (the X coordinates from k on)
+        cols = [
+            c
+            for end, size in zip(y_ends, y_sizes)
+            for c in range(end - min(p**i, size), end)
+        ]
+        if m is not None:
+            cols.extend(range(x_exponent(p, m, i), x_size))
         im_eps = fl.span(p, dim, fl.identity(dim)[cols])
         basis, d_im = im_eps.basis, im_eps.dim
-        with_a = params.xi_in_F and i < n
         di = d_im + with_a
 
         eps = fl.zeros(dim, di)
@@ -133,25 +143,22 @@ def synthesize(params: SynthParams) -> GaloisDatum:
         sigma_i[:d_im, :d_im] = _coords(im_eps, fl.matmul(basis, sigma.T, p)).T
         # the norm is a lift of (sigma-1)^(p^n - p^i) through eps
         norm = fl.zeros(di, dim)
-        norm[:d_im, :] = _coords(im_eps, gmod.op_pow(jmod, p**n - p**i).T).T
+        norm[:d_im, :] = _coords(im_eps, gmod.op_pow(canon, p**n - p**i).T).T
         a_class = None
         if with_a:
             sigma_i[d_im, d_im] = 1  # a_i is a fixed class
             norm[d_im, :] = phi
             a_class = np.zeros(di, dtype=np.int64)
             a_class[d_im] = 1
+        if pmat is not None:
+            eps, norm = fl.matmul(pmat, eps, p), fl.matmul(norm, pinv, p)
 
         # inter-norms: on the eps part, coordinates of (sigma-1)^(p^i - p^j)
         # applied to the level-i basis; the a_i line maps to a_j
         inter = {}
         for j, (lj, im_j) in enumerate(zip(levels, images)):
-            if i == n:
-                # norm at level n is the identity, so coherence forces the
-                # inter-norm to agree with the level-j norm outright
-                inter[j] = lj.norm.copy()
-                continue
             mtx = fl.zeros(lj.space.dim, di)
-            drop = gmod.op_pow(jmod, p**i - p**j)
+            drop = gmod.op_pow(canon, p**i - p**j)
             mtx[: im_j.dim, :d_im] = _coords(im_j, fl.matmul(basis, drop.T, p)).T
             if with_a:
                 mtx[im_j.dim, d_im] = 1
@@ -168,58 +175,24 @@ def synthesize(params: SynthParams) -> GaloisDatum:
         )
         images.append(im_eps)
 
-    d = GaloisDatum(
+    # level n is J: eps and norm are the identity, so coherence forces each
+    # inter-norm to agree with the level-j norm outright
+    levels.append(
+        LevelData(
+            space=jmod,
+            eps=fl.identity(dim),
+            norm=fl.identity(dim),
+            inter_norm={j: lj.norm.copy() for j, lj in enumerate(levels)},
+            a_class=None,
+        )
+    )
+    return GaloisDatum(
         p=p,
         n=n,
         J=jmod,
         levels=levels,
         xi_in_F=params.xi_in_F,
         minus_one_is_norm=params.minus_one_is_norm,
-    )
-    if params.shuffle_seed is not None:
-        d = _shuffle(d, params.shuffle_seed)
-    return d
-
-
-def _shuffle(d: GaloisDatum, seed: int) -> GaloisDatum:
-    """Conjugate the ambient J by a seeded invertible basis change."""
-    rng = random.Random(seed)
-    p, dim = d.p, d.J.dim
-    pmat = fl.random_invertible(p, dim, rng)
-    pinv = fl.inverse(pmat, p)
-    sigma2 = fl.matmul(fl.matmul(pmat, d.J.sigma, p), pinv, p)
-    jmod = gmod.make_module(p, d.n, sigma2)
-    new_levels = []
-    for i, lv in enumerate(d.levels):
-        if i == d.n:
-            # level n IS J: its own coordinates change along with J's
-            inter = {j: fl.matmul(mtx, pinv, p) for j, mtx in lv.inter_norm.items()}
-            new_levels.append(
-                LevelData(
-                    space=jmod,
-                    eps=fl.identity(dim),
-                    norm=fl.identity(dim),
-                    inter_norm=inter,
-                    a_class=None,
-                )
-            )
-        else:
-            new_levels.append(
-                LevelData(
-                    space=lv.space,
-                    eps=fl.matmul(pmat, lv.eps, p),
-                    norm=fl.matmul(lv.norm, pinv, p),
-                    inter_norm=lv.inter_norm,
-                    a_class=lv.a_class,
-                )
-            )
-    return GaloisDatum(
-        p=p,
-        n=d.n,
-        J=jmod,
-        levels=new_levels,
-        xi_in_F=d.xi_in_F,
-        minus_one_is_norm=d.minus_one_is_norm,
     )
 
 

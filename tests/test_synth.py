@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from galmod import gmod
 from galmod.datum import NEG_INF, datum_to_json, validate
 from galmod.decompose import decompose, decomposition_to_json
 from galmod.synth import (
@@ -82,6 +83,20 @@ def test_shuffle_changes_coordinates_not_answer():
     assert validate(db) == []
 
 
+@pytest.mark.parametrize("seed, extra", [(None, 0), (4, 1)])
+def test_each_module_is_built_once(monkeypatch, seed, extra):
+    # levels 0..n-1 and the canonical J, plus the shuffled J with a seed;
+    # level n is J itself, not a second module built from the same sigma
+    calls = []
+    make_module = gmod.make_module
+    monkeypatch.setattr(gmod, "make_module", lambda *a: calls.append(a) or make_module(*a))
+    params = SynthParams(p=3, n=2, m=0, e=(1, 1, 1), shuffle_seed=seed)
+    d = synthesize(params)
+    assert len(calls) == params.n + 1 + extra
+    assert d.levels[params.n].space is d.J
+    assert validate(d) == []
+
+
 def test_random_params_deterministic_and_legal():
     p1 = random_params(2, 3, 17)
     p2 = random_params(2, 3, 17)
@@ -156,11 +171,23 @@ SYNTH_DIGESTS = {
         "a71dd11f3e3ff9df45ad6759b7fc26798f867b4e7ef50b5fc4bd15efeaa83e61",
         "95ca3c1e87a35c8ce7fa177eb45344c3560091dbbdbb400a940d512a21aaa263",
     ),
+    SynthParams(p=2, n=3, m=None, e=(1, 1, 0, 1), xi_in_F=False, shuffle_seed=11): (
+        "b02db409d76b0ea426470fe04c3d50bbd07a4a7451c89695e395fb985c693cc8",
+        "e951620007d406305dfc7a05a8641e4107e9240a61b647ebc3069ea733e7f786",
+        "2172777a20946bd8bad3bb0c9b1fa337fe75a2e12d78f1aad9b023aa5e5b416b",
+    ),
+    SynthParams(p=3, n=2, m=NEG_INF, e=(1, 1, 1), shuffle_seed=9): (
+        "b251bb9716a8715a63461b1184a172e9eaeb5f44c29d665d4584ce99385a3e3b",
+        "2589e2001fbdeda357dd4d83813657fea48651b428769e5e7f756c7dab00d585",
+        "68172415cd15ace1cf3f2f9e04f78aa66779fb5a805f0bd0c7f556b5ad4b67c6",
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "params", list(SYNTH_DIGESTS), ids=["no-xi", "p2n1-no-norm", "m-inf", "m1", "shuffled"]
+    "params",
+    list(SYNTH_DIGESTS),
+    ids=["no-xi", "p2n1-no-norm", "m-inf", "m1", "shuffled", "shuffled-no-xi", "shuffled-m-inf"],
 )
 def test_synth_json_is_pinned(params):
     d = synthesize(params)
