@@ -21,14 +21,15 @@ coefficients modulo p^cp, and an absolute precision bound aprec (in
 pi-digits, inf when exact): the represented value is guaranteed modulo
 pi^aprec.  cp = ceil(precision/e) + floor(p/(p-1)) p-adic digits: the
 asked pi-digits, and the floor(jstar/e) digits that the critical level
-jstar = pe/(p-1) spans past them.  A class walk that reads u - 1 as zero
-when that zero is known to fewer pi-digits than jstar needs raises
-PrecisionError.  The tower does all arithmetic on elements, and nothing
-it keeps refers back to it.  Addition that cancels past the bound
-collapses to an exact zero-at-precision, which is what equality tests
-consume.  The generator x is pi or a unit, so valuations read off
-coefficients exactly.  A unit is an array of the tower's ring (below),
-and elements compare by ``eq``, not by ==.
+jstar = pe/(p-1) spans past them.  A class walk reads u - 1 from its
+coefficients, with no product, and raises PrecisionError when u - 1
+reads zero to fewer pi-digits than jstar needs.  The tower does all
+arithmetic on elements, and nothing it keeps refers back to it.
+Addition that cancels past the bound collapses to an exact
+zero-at-precision, which is what equality tests consume.  The generator
+x is pi or a unit, so valuations read off coefficients exactly.  A unit
+is an array of the tower's ring (below), and elements compare by
+``eq``, not by ==.
 
 Unit arithmetic is polynomial multiplication in a ring (Z/m)[x]/(f) of
 degree d.  ``_poly_mulmod`` convolves the residues, reduces mod m, and
@@ -75,10 +76,14 @@ being column 1 of sigma^k, at its tracked precision in pi-digits.
 Class computation per level walks the unit filtration 1 + pi_i^j: free
 cancellation through p-th powers below the critical level j = pe/(p-1),
 an additive Artin-Schreier step c -> c^p + eta*c at the critical level,
-and a new basis class at each remaining slot.  Each level keeps the
-factors its walk cancels with, built on first use: the pair (base,
-base^-p) of a free cancellation by (level s, solved coordinates mod p),
-and the power c of the inverse of unit basis record idx by (idx, c).
+and a new basis class at each remaining slot.  Each step reads the level
+and leading residue of u - 1 from the coefficients of w = unit - 1, with
+no product: w has valuation t = e*v + k, and its lead is (w / p^v)[:f]
+mod p when pi = p, or (w_k / p^v) u^-v mod p when pi = x, for the unit
+u of pi^e = p*u.  Each level keeps the factors its walk cancels with,
+built on first use: the pair (base, base^-p) of a free cancellation by
+(level s, solved coordinates mod p), and the power c of the inverse of
+unit basis record idx by (idx, c).
 The class basis is built from pi_i^j as a running product, with each
 residue basis vector lifted once.  Membership in the p-th
 powers is decided by the same walk at the top level (pth_root): x is a
@@ -461,6 +466,19 @@ class LocalTower:
             c = c // self.p
             v, low = v + 1, c % self.p
         return self.e * v + self._x_val * int(np.flatnonzero(low)[0])
+
+    def _lead(self, c: Array) -> tuple[int, Array]:
+        """(t, residue of c / pi^t in F_p[x]/(r)) for a nonzero polynomial
+        c of valuation t = e*v + k, read from its coefficients with no
+        product.  When pi = p (e = 1, k = 0) the residue is
+        (c / p^v)[:f] mod p.  When pi = x (f = 1), pi^e = p*u, so
+        c / pi^t = (c_k / p^v) u^-v mod pi, and u reduces to -a_0/p."""
+        t = self._poly_val(c)
+        v, k = divmod(t, self.e)
+        lead = c[k : k + self.f] // self.p**v
+        if self._x_val:
+            lead = lead * pow(int(self._pi_unit[0]), -v, self.p)
+        return t, self._res_ring.cast(lead)
 
     def _strip(self, c: Array, t: int) -> Array:
         """Exactly divide the polynomial by pi^t (valuation must allow it).
@@ -932,19 +950,22 @@ class _LevelClasses:
         return pair
 
     def _leading(self, t: LocalTower, u: LFElement):
-        """(filtration level, leading coords) of a 1-unit, or (None, None)
-        when u - 1 is zero past jstar; a zero known to fewer pi-digits
-        cannot tell and raises PrecisionError."""
-        diff = t.add(u, t.neg(t.one))
-        if diff.is_zero:
-            if diff.aprec < (self.jstar + 1) * t.level_rel_e[self.i]:
-                raise PrecisionError(
-                    f"u - 1 is zero only to {diff.aprec} pi-digits, short of jstar"
-                )
+        """(filtration level, leading coords) of a 1-unit u, read from the
+        coefficients of w = u - 1 by ``LocalTower._lead`` with no product,
+        or (None, None) when w is zero to a = min(u.aprec, rel_cap)
+        pi-digits, so past jstar; a zero known to fewer pi-digits cannot
+        tell and raises PrecisionError."""
+        w = u.unit.copy()
+        w[0] = (w[0] - 1) % t.modulus
+        a, rel = min(u.aprec, t.rel_cap), t.level_rel_e[self.i]
+        val, gamma = t._lead(w) if w.any() else (a, None)
+        if val >= a:  # w reads zero to a pi-digits
+            if a < (self.jstar + 1) * rel:
+                raise PrecisionError(f"u - 1 is zero only to {a} pi-digits, short of jstar")
             return None, None
-        s = t.level_val(self.i, diff)
-        gamma = t.residue(LFElement(0, diff.unit))
-        return s, self._res_coords(gamma)
+        if val % rel:
+            raise ValueError(f"u - 1 not at level {self.i}: valuation {val} not divisible by {rel}")
+        return val // rel, self._res_coords(gamma)
 
     def _reduce(self, t: LocalTower, u: LFElement, bases: list | None = None):
         """Cancel the leading terms of the 1-unit u level by level.

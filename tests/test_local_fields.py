@@ -234,7 +234,8 @@ def test_pth_root_agrees_with_class_of(spec):
 
 def test_class_of_builds_each_cancelling_factor_once(monkeypatch):
     """The products of class_of on a pinned tower: a walk takes the
-    factors the level keeps, so a repeated walk builds none of them."""
+    factors the level keeps, so a repeated walk builds none of them, and
+    it reads each lead with no product."""
     tw = make_tower(3, "cyclotomic", 2, 100)
     n = tw.n
     x = tw.from_poly(list(range(1, tw.deg + 1)))
@@ -247,7 +248,7 @@ def test_class_of_builds_each_cancelling_factor_once(monkeypatch):
         products.clear()
         tw.class_of(n, z)
         counts.append(len(products))
-    assert counts == [50, 17, 10, 9]
+    assert counts == [41, 8, 5, 4]
 
 
 def test_pth_root_reuses_the_free_factors_of_its_level(monkeypatch):
@@ -356,6 +357,78 @@ def test_class_of_refuses_a_one_unit_known_short_of_jstar(cyclo3_1):
     with pytest.raises(PrecisionError):
         tw.class_of(1, x)
     assert not np.any(tw.class_of(1, lf.LFElement(0, tw._unit_one, 10)))
+
+
+def test_class_of_refuses_a_one_unit_known_short_of_jstar_at_level_0():
+    # at level 0 of cyclotomic p=3 n=2, jstar = 3 and e(K/K_0) = 9: u - 1
+    # must read zero to 36 pi-digits, whether it is 0 or pi_0^4
+    tw = make_tower(3, "cyclotomic", 2, 100)
+    low = tw.classes(0)
+    need = (low.jstar + 1) * tw.level_rel_e[0]
+    assert need == 36
+    deep = tw.add(tw.one, tw.powi(tw.level_uniformizer[0], low.jstar + 1))
+    for u in (tw.one, deep):
+        x = lf.LFElement(0, u.unit, need)
+        assert low._leading(tw, x) == (None, None)
+        assert not np.any(tw.class_of(0, x))
+        short = lf.LFElement(0, u.unit, need - 1)
+        with pytest.raises(PrecisionError):
+            low._leading(tw, short)
+        with pytest.raises(PrecisionError):
+            tw.class_of(0, short)
+
+
+def leading_by_add(lc, tw, u):
+    """The lead of the 1-unit u read through the element u - 1 =
+    add(u, neg(one)), its level_val and its residue, with the p-adic
+    digit v of its valuation t = e*v + k."""
+    diff = tw.add(u, tw.neg(tw.one))
+    if diff.is_zero:
+        if diff.aprec < (lc.jstar + 1) * tw.level_rel_e[lc.i]:
+            raise PrecisionError("u - 1 is zero short of jstar")
+        return None, None, None
+    gamma = tw.residue(lf.LFElement(0, diff.unit))
+    return tw.level_val(lc.i, diff), lc._res_coords(gamma), diff.val // tw.e
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(2, "cyclotomic", 2, 56), (3, "cyclotomic", 2, 100), (5, "cyclotomic", 1, 104),
+     (3, "unramified", 1, 40), (5, "unramified", 1, 28)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_leading_reads_the_lead_of_u_minus_one_with_no_product(spec, monkeypatch):
+    # every step of every level's class-basis walk: the lead read from the
+    # coefficients of u - 1 is the lead of the element add(u, neg(one))
+    products = []
+    mulmod = lf._poly_mulmod
+    monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    leading = lf._LevelClasses._leading
+    digits = []
+
+    def checked(lc, tw, u):
+        before = len(products)
+        s, coords = leading(lc, tw, u)
+        assert len(products) == before
+        s_add, coords_add, v = leading_by_add(lc, tw, u)
+        assert s == s_add
+        if s is None:
+            assert coords is None
+        else:
+            assert np.array_equal(coords, coords_add)
+            digits.append(v)
+        return s, coords
+
+    monkeypatch.setattr(lf._LevelClasses, "_leading", checked)
+    tw = make_tower(*spec)
+    for i in range(tw.n + 1):
+        tw.class_basis(i)
+    assert max(digits) >= 1
+    if tw.e > 1 and tw.p > 2:
+        # a_0 = p for Phi_(p^k)(x + 1), so u = -1 mod pi in pi^e = p*u, and
+        # a lead that dropped the factor u^-v would differ at an odd v
+        assert tw.minpoly[0] == tw.p
+        assert any(v % 2 for v in digits)
 
 
 def test_root_norm_identity_fixed_alpha(cyclo3_1):
