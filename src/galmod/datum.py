@@ -635,6 +635,9 @@ def datum_from_json(obj: dict) -> GaloisDatum:
                 raise TypeError(f"levels[{i}].inter_norm is not an object")
             inter = {}
             for k, m in inter_json.items():
+                # "00" or " 0" would replace the matrix under "0" unseen
+                if k != str(int(k)):
+                    raise ValueError(f"{at}inter_norm key {k!r} is not a decimal integer")
                 inter[int(k)] = fl.asmod(json_int_array(m, at + "inter_norm"), p)
             a_cls = lv.get("a_class")
             a_arr = None if a_cls is None else fl.asmod(json_int_array(a_cls, at + "a_class"), p)

@@ -225,8 +225,8 @@ def rank(a: Array, p: int) -> int:
 def solve(a: Array, b: Array, p: int):
     """One solution x of A x = b over F_p, or None if inconsistent.
 
-    Deterministic: free variables are set to zero, which is the
-    lexicographically least assignment.
+    Deterministic: the free variables are 0, and each pivot variable is
+    read from the RREF of the augmented matrix.
     """
     a = asmod(a, p)
     b = asmod(b, p)

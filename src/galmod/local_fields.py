@@ -41,20 +41,18 @@ residues in that dtype, and every step runs on it: the integer
 polynomials of a kind enter the tower's ring in ``_reduce``, and a
 polynomial moves to another ring only through ``_Ring.cast``.  Whoever
 multiplies modulo (f, m) builds the ring once and keeps it.  A tower
-keeps one ring per modulus it uses: p^cp, each widened modulus
-p^(cp+k) of ``_strip`` when pi = x (p^(2cp) among them), and F_p[x]/(r)
-for residues.  Each tower caches the uniformizer powers its valuation
-machinery reuses: the multiplier p^k / pi^t, k = ceil(t/e), that
-``_strip`` divides by pi^t with, and pi^delta for ``_shift``.  When
-pi = p, ``_strip`` divides by p^t directly, with no multiplier, and
-``_shift`` multiplies by the integer p^delta mod p^cp; when pi = x,
-pi^e = p*u for the unit u = -(a_0 + ... + a_(d-1) x^(d-1))/p of the
-Eisenstein polynomial, and
-the multiplier is x^s * u^-k, s = ke - t, from powers of u^-1 kept per
-tower.  ``inv`` runs Newton's iteration v -> v(2 - uv) and stops once
-uv = 1, where further rounds leave v unchanged.  ``powi`` and
-``_poly_powmod`` square and multiply by ``fl.power``, with no product by
-one and no square after the top bit.  All of this is exact: results are
+keeps two rings: its own, mod p^cp, and F_p[x]/(r) for residues.
+Division by pi^t (``_strip``) and multiplication by pi^delta (``_shift``)
+run in the tower's ring.  When pi = p, ``_strip`` divides by p^t
+directly and ``_shift`` multiplies by the integer p^delta mod p^cp.  When
+pi = x, pi^e = p*u for the unit u = -(a_0 + ... + a_(d-1) x^(d-1))/p of
+the Eisenstein polynomial, and for t = e*v + k both are shifts of the
+coefficients by k, a division or product by p^v, and at most two
+products by powers u^j, which the tower keeps by j, of both signs.
+``inv`` runs Newton's iteration v -> v(2 - uv) and stops once uv = 1,
+where further rounds leave v unchanged.  ``powi`` and ``_poly_powmod``
+square and multiply by ``fl.power``, with no product by one and no
+square after the top bit.  All of this is exact: results are
 the same residues the schoolbook product gives.  The residue field
 F_q = F_p[x]/(r) has one method beside its ring, the matrix of
 Frobenius c -> c^p: an inverse is the product of the conjugates divided
@@ -367,31 +365,21 @@ class LocalTower:
         self.rel_cap = self.e * self.cp  # representable relative precision
 
         self.minpoly, self.r, self._pi_poly, gen_poly, levels, zeta, kummer_top = data()
-        # pi = p, x a unit; or pi = x in an Eisenstein power basis, where
-        # pi^e = x^d = -(a_0 + ... + a_{d-1} x^(d-1)) = p*u, u a unit
-        self._x_val, self._pi_unit = int(self._pi_poly == [0, 1]), None
-        if self._x_val:
-            if any(c % p for c in self.minpoly[:-1]) or self.minpoly[0] % p**2 == 0:
-                raise ValueError("pi = x needs an Eisenstein defining polynomial")
-            self._pi_unit = np.array([(-c) // p for c in self.minpoly[:-1]], dtype=object)
-
-        # the rings (Z/p^(cp+k))[x]/(minpoly) by k, each built on first
-        # use: k = 0 for the tower's own arithmetic and, when pi = x,
-        # 0 < k <= cp for _strip and k = cp (modulus p^(2cp)) for the
-        # powers of u^-1
-        self._rings: dict[int, _Ring] = {}
-        self.ring = self._ring(0)
+        self._x_val = int(self._pi_poly == [0, 1])
+        if self._x_val and (any(c % p for c in self.minpoly[:-1]) or self.minpoly[0] % p**2 == 0):
+            raise ValueError("pi = x needs an Eisenstein defining polynomial")
+        # the tower's two rings: its own, mod p^cp, and F_p[x]/(r) for residues
+        self.ring = _Ring(self.minpoly, self.modulus)
         self.fpoly = self.ring.f
-        self._res_ring = _Ring(self.r, p)  # F_p[x]/(r)
+        self._res_ring = _Ring(self.r, p)
         # read by the first inv, which from_poly below may take
         self._res_frobenius = _frobenius_matrix(self._res_ring)
-        # per-tower powers of the uniformizer: t -> (ring mod p^(cp+k),
-        # p^k / pi^t in it, p^k) for _strip, built from u^-k mod p^(2cp)
-        # (index k), or (None, None, p^k) when pi = p; delta -> pi^delta
-        # for _shift when pi = x
-        self._strip_tables: dict[int, tuple] = {}
-        self._unit_inv_powers: list[Array | None] = []
-        self._shift_powers: dict[int, Array] = {}
+        # pi = p, x a unit; or pi = x in an Eisenstein power basis, where
+        # pi^e = x^d = -(a_0 + ... + a_{d-1} x^(d-1)) = p*u, u a unit, and
+        # the powers u^j of both signs are kept by j, built on first use
+        self._unit_powers: dict[int, Array] = {}
+        if self._x_val:
+            self._unit_powers[1] = self._reduce([(-c) // p for c in self.minpoly[:-1]])
 
         self._unit_one = self.ring.one
         self.one = LFElement(0, self._unit_one)
@@ -449,13 +437,6 @@ class LocalTower:
 
     # -- valuation machinery ---------------------------------------------------
 
-    def _ring(self, k: int) -> _Ring:
-        """The ring (Z/p^(cp+k))[x]/(minpoly), built once per tower and k."""
-        ring = self._rings.get(k)
-        if ring is None:
-            ring = self._rings[k] = _Ring(self.minpoly, self.modulus * self.p**k)
-        return ring
-
     def _poly_val(self, c: Array) -> int:
         """Valuation in pi-digits of a nonzero polynomial in the generator,
         which is pi (valuation 1) or a unit (0): e*v + k, for v the least
@@ -477,73 +458,78 @@ class LocalTower:
         v, k = divmod(t, self.e)
         lead = c[k : k + self.f] // self.p**v
         if self._x_val:
-            lead = lead * pow(int(self._pi_unit[0]), -v, self.p)
+            lead = lead * pow(int(self._unit_powers[1][0]), -v, self.p)
         return t, self._res_ring.cast(lead)
 
     def _strip(self, c: Array, t: int) -> Array:
         """Exactly divide the polynomial by pi^t (valuation must allow it).
 
-        Multiplies by q = p^k / pi^t, integral for k = ceil(t/e), modulo
-        the enlarged modulus p^(cp+k), so the quotient c*q / p^k keeps cp
-        digits.  When pi = p, q = 1, and c is divided by p^k directly.
+        When pi = p, c is divided by p^t directly.  When pi = x, t = e*v + k
+        and pi^e = p*u, so for c' = c / p^v, c / pi^t = u^-v T + u^-(v+1) H:
+        T is c' from index k on, moved down by k, and H holds c'_j / p at
+        x^(e-k+j) for j < k.  Every division is exact, so the result is
+        c / pi^t in the ring of integers, reduced mod p^cp.
         """
         if t == 0:
             return c
-        table = self._strip_tables.get(t)
-        if table is None:
-            table = self._strip_tables[t] = self._strip_table(t)
-        ring, q, pk = table
-        acc = c if q is None else _poly_mulmod(ring.cast(c), q, ring)
-        if (acc % pk).any():
-            raise PrecisionError("strip below the honest valuation")
-        return self.ring.cast(acc // pk)
-
-    def _strip_table(self, t: int) -> tuple:
-        """(ring mod p^(cp+k), q = p^k / pi^t in it, p^k), k = ceil(t/e);
-        (None, None, p^k) when pi = p, where q = 1 needs no ring.
-
-        When pi = x, pi^e = p*u, so q = x^s * u^-k for s = ke - t: one
-        product, and one more for each new power u^-k, taken from u^-1
-        modulo p^(2cp).  That covers every k <= cp, and a nonzero
-        polynomial mod p^cp has valuation below e*cp, so a larger k is
-        refused."""
         p, e = self.p, self.e
-        k = -(-t // e)
-        if k > self.cp:
+        v, k = divmod(t, e)
+        # a nonzero polynomial mod p^cp has valuation below e*cp
+        if v >= self.cp or (c % p**v).any() or (c[:k] % p ** (v + 1)).any():
             raise PrecisionError("strip below the honest valuation")
-        if self._pi_unit is None:
-            return None, None, p**k
-        ring = self._ring(k)
-        wide = self._ring(self.cp)
-        powers = self._unit_inv_powers
-        if not powers:
-            u = wide.cast(self._pi_unit)
-            v = wide.cast(self._residue_inverse(u))
-            powers += [None, _poly_invmod(u, v, wide, 2 * self.rel_cap)]
-        while len(powers) <= k:
-            powers.append(_poly_mulmod(powers[-1], powers[1], wide))
-        q = ring.cast(powers[k])
-        s = k * e - t
-        if s:
-            q = _poly_mulmod(ring.cast(fl.identity(self.deg)[s]), q, ring)
-        return ring, q, p**k
+        c = c // p**v
+        if not self._x_val:
+            return c
+        low, high = np.zeros_like(c), np.zeros_like(c)
+        low[: e - k] = c[k:]
+        high[e - k :] = c[:k] // p
+        if v:
+            low = _poly_mulmod(low, self._unit_power(-v), self.ring)
+        if k:
+            low += _poly_mulmod(high, self._unit_power(-v - 1), self.ring)
+            low %= self.modulus
+        return low
 
     def _shift(self, c: Array, delta: int) -> Array:
         """Multiply a polynomial by pi^delta (delta >= 0).
 
-        When pi = p, pi^delta is the integer p^delta mod p^cp, and the
-        product is one scalar product per residue, each below (m-1)^2:
-        exact in int64 under the ring's bound."""
+        When pi = p, pi^delta is the integer p^delta mod p^cp.  When pi = x,
+        delta = e*v + k and pi^e = p*u, so c pi^delta = p^v (u^v L +
+        p u^(v+1) H): L is c moved up by k, and H its k top coefficients
+        wrapped to the bottom.  Each scalar product is of residues below
+        p^cp, so below (m-1)^2: exact in int64 under the ring's bound.
+        """
         if delta == 0:
             return c
+        p, e, m = self.p, self.e, self.modulus
         if not self._x_val:
-            return c * pow(self.p, delta, self.modulus) % self.modulus
-        pd = self._shift_powers.get(delta)
-        if pd is None:
-            pd = self._shift_powers[delta] = _poly_powmod(
-                self._reduce(self._pi_poly), delta, self.ring
-            )
-        return _poly_mulmod(c, pd, self.ring)
+            return c * pow(p, delta, m) % m
+        v, k = divmod(delta, e)
+        low, high = np.zeros_like(c), np.zeros_like(c)
+        low[k:] = c[: e - k]
+        high[:k] = c[e - k :]
+        if v:
+            low = _poly_mulmod(low, self._unit_power(v), self.ring)
+        if k:
+            low += _poly_mulmod(high, self._unit_power(v + 1), self.ring) * p % m
+            low %= m
+        return low * pow(p, v, m) % m
+
+    def _unit_power(self, j: int) -> Array:
+        """u^j for the unit u of pi^e = p*u and an integer j != 0, kept by
+        j: u^-1 by Newton's iteration, and every other power one product
+        by u or u^-1 from the power next to it toward 0."""
+        power = self._unit_powers.get(j)
+        if power is None:
+            if j == -1:
+                u = self._unit_powers[1]
+                v = self.ring.cast(self._residue_inverse(u))
+                power = _poly_invmod(u, v, self.ring, self.rel_cap)
+            else:
+                step = 1 if j > 0 else -1
+                power = _poly_mulmod(self._unit_power(j - step), self._unit_power(step), self.ring)
+            self._unit_powers[j] = power
+        return power
 
     # -- arithmetic --------------------------------------------------------------
 

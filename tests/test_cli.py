@@ -533,6 +533,27 @@ def test_inter_norm_that_is_not_an_object_is_refused(tmp_path, capsys):
         assert err.startswith("cannot read") and "inter_norm is not an object" in err
 
 
+@pytest.mark.parametrize("key", ["00", " 0", "+0", "0_0"])
+def test_inter_norm_key_that_is_not_a_decimal_integer_is_refused(tmp_path, capsys, key):
+    # read with int(), the key would silently replace the matrix under "0"
+    datum, dec = readme_example(tmp_path)
+    obj = json.loads(read(datum))
+    top = obj["levels"][2]["inter_norm"]
+    obj["levels"][2]["inter_norm"] = {"0": [[5]], key: top["0"], "1": top["1"]}
+    datum.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (
+        ["decompose", "--in", str(datum)],
+        ["verify", "--in", str(datum), "--decomposition", str(dec)],
+        ["invariants", "--in", str(datum)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = one_line(captured.err)
+        assert err.startswith("cannot read") and f"inter_norm key {key!r}" in err
+
+
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 def test_closed_stdout_exits_141_without_traceback(tmp_path, buffered):
     datum, _ = readme_example(tmp_path)

@@ -589,8 +589,7 @@ def test_poly_mulmod_matches_schoolbook(spec):
     rng = random.Random(repr(spec))
     d = tw.deg
     moduli = [(tw.fpoly, tw.modulus)]
-    # the widened moduli of _strip: p^(cp+k) for its products, and
-    # p^(cp+t) for the multiplier's powers
+    # wider moduli p^(cp+k) than the tower's own, some past the int64 bound
     for widen in (1, 2, tw.e, 3 * tw.e + 1):
         mod_hi = tw.modulus * tw.p**widen
         moduli.append(([c % mod_hi for c in tw.minpoly], mod_hi))
@@ -660,7 +659,7 @@ def test_poly_powmod_matches_the_square_and_multiply_loop(spec, monkeypatch):
     # reference; bitlength(e) + popcount(e) - 2 products are enough
     tw = make_tower(*spec)
     rng = random.Random(repr(spec))
-    wide = tw.modulus * tw.p ** (2 * tw.e + 3)  # a widened modulus of _strip
+    wide = tw.modulus * tw.p ** (2 * tw.e + 3)  # past the int64 bound
     moduli = [(tw.fpoly, tw.modulus), (tw.r, tw.p), ([x % wide for x in tw.minpoly], wide)]
     products = []
     mulmod = lf._poly_mulmod
@@ -715,41 +714,77 @@ def test_strip_matches_p_over_pi_formula(spec):
 
 
 @pytest.mark.parametrize("spec", BENCH_TOWERS, ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
-def test_strip_tables_match_the_p_over_pi_power(spec):
-    # the multiplier p^k / pi^t mod p^(cp+k), k = ceil(t/e), as it was
-    # built before: (p/pi)^t mod p^(cp+t), divided by p^(t-k); when
-    # pi = p it is 1, and the table holds no ring and no multiplier
+def test_strip_refuses_a_valuation_past_the_modulus(spec):
+    # a nonzero polynomial mod p^cp has valuation below e*cp; p^(cp+40)
+    # is past int64, where the ring's residues cannot be divided by it
     tw = make_tower(*spec)
-    p = tw.p
-    for t in [*range(1, 3 * tw.e + 3), tw.e * tw.cp]:  # k runs up to cp
-        k = -(-t // tw.e)
-        if tw.kind == "unramified":
-            assert tw._strip_table(t) == (None, None, p**k)
-            continue
-        wide = tw.modulus * p**t
-        f = [x % wide for x in tw.minpoly]
-        ring_wide = lf._Ring(f, wide)
-        q_wide = lf._poly_powmod(as_ring(ring_wide, p_over_pi(tw)), t, ring_wide)
-        q = [x // p ** (t - k) for x in q_wide.tolist()]
-        mod_k = tw.modulus * p**k
-        ring, q_k, pk = tw._strip_table(t)
-        assert q_k.dtype == ring.table.dtype
-        assert (ring.m, ring.f, q_k.tolist(), pk) == (mod_k, [x % mod_k for x in tw.minpoly], q, p**k)
-    # past k = cp no nonzero polynomial mod p^cp is divisible by pi^t
-    with pytest.raises(PrecisionError):
-        tw._strip_table(tw.e * tw.cp + 1)
+    c = tw._reduce([tw.p ** (tw.cp - 1)])
+    tw._strip(c, tw._poly_val(c))
+    for t in (tw.e * tw.cp, tw.e * tw.cp + 1, tw.e * (tw.cp + 40)):
+        with pytest.raises(PrecisionError):
+            tw._strip(c, t)
+
+
+@pytest.mark.parametrize("spec", BENCH_TOWERS, ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_shift_matches_the_schoolbook_product(spec):
+    # c * pi^delta against the schoolbook product by pi^delta mod f: x^delta
+    # when pi = x, through pi^e = p*u, and the integer p^delta when pi = p
+    tw = make_tower(*spec)
+    rng = random.Random(repr(spec))
+    for delta in (1, 2, tw.e - 1, tw.e, tw.e + 1, 2 * tw.e + 3, 5 * tw.e):
+        pi_delta = schoolbook_powmod(tw._pi_poly, delta, tw.fpoly, tw.modulus)
+        for c in _operands(rng, tw.deg, tw.modulus):
+            got = tw._shift(tw._reduce(c), delta)
+            assert got.dtype == tw.ring.table.dtype
+            assert got.tolist() == schoolbook_mulmod(c, pi_delta, tw.fpoly, tw.modulus)
+
+
+@pytest.mark.parametrize("spec", [s for s in BENCH_TOWERS if s[1] == "cyclotomic"],
+                         ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
+def test_unit_powers_are_inverse(spec):
+    # u of pi^e = p*u: the table's u^j and u^-j multiply to one
+    tw = make_tower(*spec)
+    u = [-c // tw.p for c in tw.minpoly[:-1]]
+    for j in (1, 2, 3, tw.cp):
+        assert tw._unit_power(j).tolist() == schoolbook_powmod(u, j, tw.fpoly, tw.modulus)
+        uu = lf._poly_mulmod(tw._unit_power(j), tw._unit_power(-j), tw.ring)
+        assert uu.tolist() == tw.ring.one.tolist()
+
+
+def count_rings(monkeypatch):
+    """The moduli of the _Ring objects built from here on, in a list."""
+    moduli = []
+    init = lf._Ring.__init__
+    monkeypatch.setattr(
+        lf._Ring, "__init__", lambda ring, f, m: moduli.append(m) or init(ring, f, m)
+    )
+    return moduli
+
+
+@pytest.mark.parametrize(
+    "spec", [(3, "cyclotomic", 2, 100), (2, "cyclotomic", 3, None), (7, "cyclotomic", 1, None)],
+    ids=lambda s: f"{s[1]}{s[0]}n{s[2]}",
+)
+def test_a_cyclotomic_tower_builds_two_rings(spec, monkeypatch):
+    # the tower's own ring mod p^cp and F_p[x]/(r), and no other: _strip
+    # and _shift divide and multiply by pi^t in the tower's ring
+    moduli = count_rings(monkeypatch)
+    tw = make_tower(*spec)
+    build_datum(tw)
+    assert moduli == [tw.modulus, tw.p]
 
 
 @pytest.mark.parametrize("spec", [s for s in BENCH_TOWERS if s[1] == "unramified"],
                          ids=lambda s: f"{s[1]}{s[0]}n{s[2]}")
 def test_unramified_strip_divides_without_a_product(spec, monkeypatch):
-    # pi = p: c / p^t is read off c directly, with no product by 1 and no
-    # widened ring p^(cp+t), and c * p^t is one scalar product
+    # pi = p: c / p^t is read off c directly, with no product and no ring
+    # built, and c * p^t is one scalar product
     tw = make_tower(*spec)
     rng = random.Random(repr(spec))
     products = []
     mulmod = lf._poly_mulmod
     monkeypatch.setattr(lf, "_poly_mulmod", lambda *args: products.append(1) or mulmod(*args))
+    moduli = count_rings(monkeypatch)
     for t in (1, 2, 5, tw.cp):
         y = [rng.randrange(tw.modulus) for _ in range(tw.deg)]
         y[0] = y[0] * tw.p + 1
@@ -758,7 +793,7 @@ def test_unramified_strip_divides_without_a_product(spec, monkeypatch):
         assert c.dtype == tw.ring.table.dtype and c.tolist() == want
         if t < tw.cp:
             assert tw._strip(c, t).tolist() == strip_by_p_over_pi(tw, c, t)
-    assert not products and set(tw._rings) == {0}
+    assert not products and not moduli
 
 
 def newton_inverse_full_rounds(tw, unit):
