@@ -63,12 +63,24 @@ def _refusing(prefix: str, *errors: type[Exception]):
         raise Refusal(f"{prefix}: {str(exc).removeprefix(prefix + ': ')}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; ValueError on a repeated key, which
+    json.load would otherwise resolve silently to its last value."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"duplicate key {k!r}")
+        obj[k] = v
+    return obj
+
+
 def _read(path: str, what: str, from_json):
-    """from_json of the JSON document at path, or `cannot read {what}`."""
+    """from_json of the JSON document at path, or `cannot read {what}`;
+    a document nested too deep to parse is refused the same way."""
     with _refusing(f"cannot read {what}", ValueError, KeyError, TypeError, OverflowError,
-                   OSError):
+                   OSError, RecursionError):
         with open(path, "r", encoding="utf-8") as fh:
-            return from_json(json.load(fh))
+            return from_json(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def _text(doc) -> str:

@@ -78,7 +78,8 @@ def decompose(d: GaloisDatum) -> Decomposition:
     m = None
     x_gen = None
     x_space = None
-    x_fixed_line = None
+    # the norm classes that X and the higher Y_j account for
+    covered = fl.zero_space(p, d.J.dim)
     if x_summand_exists(p, n, d.xi_in_F, d.minus_one_is_norm):
         report = exceptional_search(d)
         m = report.m
@@ -87,19 +88,15 @@ def decompose(d: GaloisDatum) -> Decomposition:
         x_fixed = fl.sub_intersect(x_space, d.fixed(0))
         if x_fixed.dim != 1:
             raise InconsistencyError("X has a fixed part of dimension != 1")
-        x_fixed_line = x_fixed
+        if m != NEG_INF:
+            covered = x_fixed
 
     filtration = norm_filtration(d)
 
-    covered: list[Array] = []
-    if x_fixed_line is not None and m != NEG_INF:
-        covered.extend(x_fixed_line.basis)
-
     y_generators: list[tuple[int, Array]] = []
     for i in range(n, -1, -1):
-        v_i = filtration[i]
-        covered_in_v = fl.sub_intersect(v_i, fl.span(p, d.J.dim, covered))
-        fresh = fl.sub_complement(v_i, covered_in_v)
+        fresh = fl.sub_complement(filtration[i], covered)
+        covered = fl.sub_sum(covered, fresh)
         lift_op = d.op_pow(p**i - 1)
         source = d.eps_image(i)
         for z in fresh.basis:
@@ -113,7 +110,6 @@ def decompose(d: GaloisDatum) -> Decomposition:
                     f"level-{i} generator has length {gmod.length(d.J, w)} != p^{i}"
                 )
             y_generators.append((i, w))
-            covered.append(z)
 
     dec = Decomposition(p=p, n=n, m=m, x_generator=x_gen, y_generators=y_generators)
 
@@ -192,8 +188,9 @@ def verify(dec: Decomposition, d: GaloisDatum) -> dict:
     """Re-check every theorem clause; returns {clause id: bool} plus notes.
 
     Clause ids are stable: T.direct-sum, T.span, T2.dimX, T.K{i} for the
-    subfield images, C.rank.{i} and C2.rank-shift for the rank identities,
-    C.normimage.{i} for the norm subspace clauses, KS.blocks for the
+    subfield images, C.rank.{i} and C2.rank-shift for the rank identities
+    (C.ranks, False, in their place when the norm filtration is not
+    nested), C.normimage.{i} for the norm subspace clauses, KS.blocks for the
     block-multiset cross-check.  The summand spaces are built once and
     shared by all clauses.
     """

@@ -36,10 +36,11 @@ Array = np.ndarray
 #   that under 2^63, and past the bound rref reduces after every pivot.
 # The table of inverses_mod holds at most P_MAX entries (512 KiB).
 P_MAX = 1 << 16
-# The largest dim J that synth builds.  A dense dim x dim int64 matrix
-# takes 8 MB at this bound, and a datum and its decomposition keep a few
-# dozen of them (level maps, cached powers of sigma - 1); the selftest
-# sweep at any --dim-cap stays at or below 313.
+# The largest dimension of a module: gmod.make_module refuses a larger
+# one, and synth and local check dim J before they build anything.  A
+# dense dim x dim int64 matrix takes 8 MB at this bound, and a datum and
+# its decomposition keep a few dozen of them (level maps, cached powers
+# of sigma - 1); the selftest sweep at any --dim-cap stays at or below 313.
 DIM_MAX = 1 << 10
 
 
@@ -446,14 +447,13 @@ def sub_intersect(u: Subspace, v: Subspace) -> Subspace:
 
 
 def sub_complement(u: Subspace, v: Subspace) -> Subspace:
-    """Deterministic W with U = V (+) W, for V a subspace of U.
+    """Deterministic complement of U n V in U: W with U = (U n V) (+) W.
 
     Greedy pivot completion: walk U's canonical basis and keep the rows
-    that grow the span of V.
+    that grow the span of V.  The picks lie in U, so a row grows
+    span(V, picks) iff it grows span(U n V, picks): V need not lie in U.
     """
     _check_compatible(u, v)
-    if not u.contains_space(v):
-        raise ValueError("complement requested but V is not contained in U")
     ech = Echelon(u.p, u.ambient)
     for row in v.basis:
         ech.add(row)

@@ -40,13 +40,18 @@ def memo(cache: dict, key, compute):
 
 
 def make_module(p: int, n: int, sigma) -> GModule:
-    """Validated GModule; rejects actions whose order does not divide p^n."""
+    """Validated GModule; rejects actions whose order does not divide p^n
+    and a dimension past fl.DIM_MAX."""
     fl.check_prime(p)
     if n < 0:
         raise ValueError("tower height must be >= 0")
     sigma = fl.asmod(sigma, p)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
+    if sigma.shape[0] > fl.DIM_MAX:
+        raise ValueError(
+            f"dim {sigma.shape[0]} exceeds the supported bound DIM_MAX = {fl.DIM_MAX}"
+        )
     sigma.setflags(write=False)
     m = GModule(p, n, sigma.shape[0], sigma)
     # sigma^(p^n) - 1 = (sigma - 1)^(p^n) in characteristic p; the power
@@ -271,19 +276,14 @@ def free_complement(m: GModule, u: Subspace, v: Subspace) -> Subspace:
     if not is_invariant(m, u) or not is_invariant(m, v):
         raise ValueError("inputs must be sigma-invariant")
     size_u = _free_block_size(m, u, "U")
-    if v.dim == 0:
-        pass
-    else:
+    if v.dim:
         size_v = _free_block_size(m, v, "V")
         if size_u != size_v:
             raise ValueError(f"block sizes differ: U has {size_u}, V has {size_v}")
     if u.dim == v.dim:
         return fl.zero_space(m.p, m.dim)
     s = size_u
-    fixed = fixed_points(m, 0)
-    u_fixed = fl.sub_intersect(u, fixed)
-    v_fixed = fl.sub_intersect(v, fixed)
-    z = fl.sub_complement(u_fixed, v_fixed)
+    z = fl.sub_complement(fl.sub_intersect(u, fixed_points(m, 0)), v)
     lift_op = op_pow(m, s - 1)
     rows = []
     for zrow in z.basis:

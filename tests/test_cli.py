@@ -691,3 +691,110 @@ def test_jordan_refuses_non_integers(tmp_path, capsys, module):
     assert captured.out == ""
     err = one_line(captured.err)
     assert err.startswith("cannot read module: ") and "not an integer" in err
+
+
+def _repeat_top_p(text):
+    return '{"p": 5, ' + text[1:]
+
+
+def _repeat_inter_norm_zero(text):
+    # the first "0" holds a wrong matrix that the second would replace
+    obj = json.loads(text)
+    top = obj["levels"][2]["inter_norm"]
+    obj["levels"][2]["inter_norm"] = {"0": [[5]], "repeat": top["0"], "1": top["1"]}
+    return json.dumps(obj).replace('"repeat"', '"0"')
+
+
+DEEP = "[" * 3000 + "]" * 3000
+
+
+def _deep_sigma(text):
+    obj = json.loads(text)
+    obj["sigma"] = "deep"
+    return json.dumps(obj).replace('"deep"', DEEP)
+
+
+@pytest.mark.parametrize(
+    "rewrite, reason",
+    [
+        (_repeat_top_p, "duplicate key 'p'"),
+        (_repeat_inter_norm_zero, "duplicate key '0'"),
+        (_deep_sigma, "maximum recursion depth"),
+    ],
+    ids=["repeated-p", "repeated-inter-norm-0", "deep-sigma"],
+)
+def test_datum_json_with_repeated_key_or_deep_nesting_is_refused(tmp_path, capsys, rewrite,
+                                                                 reason):
+    datum, dec = readme_example(tmp_path)
+    datum.write_text(rewrite(read(datum)))
+    capsys.readouterr()
+    for argv, what in (
+        (["decompose", "--in", str(datum)], "datum"),
+        (["verify", "--in", str(datum), "--decomposition", str(dec)], "input"),
+        (["invariants", "--in", str(datum)], "datum"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = one_line(captured.err)
+        assert err.startswith(f"cannot read {what}: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "rewrite, reason",
+    [
+        (lambda text: '{"m": "-inf", ' + text[1:], "duplicate key 'm'"),
+        (lambda text: text.replace('"x_generator": [', '"x_generator": [' + DEEP + ", ", 1),
+         "maximum recursion depth"),
+    ],
+    ids=["repeated-m", "deep-x-generator"],
+)
+def test_decomposition_json_with_repeated_key_or_deep_nesting_is_refused(tmp_path, capsys,
+                                                                         rewrite, reason):
+    datum, dec = readme_example(tmp_path)
+    dec.write_text(rewrite(read(dec)))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(datum), "--decomposition", str(dec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = one_line(captured.err)
+    assert err.startswith("cannot read input: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"p": 3, "p": 3, "n": 1, "sigma": [[1]]}', "duplicate key 'p'"),
+        ('{"p": 3, "n": 1, "sigma": ' + DEEP + "}", "maximum recursion depth"),
+    ],
+    ids=["repeated-p", "deep-sigma"],
+)
+def test_module_json_with_repeated_key_or_deep_nesting_is_refused(tmp_path, capsys, text,
+                                                                  reason):
+    path = tmp_path / "module.json"
+    path.write_text(text)
+    assert main(["jordan", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = one_line(captured.err)
+    assert err.startswith("cannot read module: ") and reason in err
+
+
+def test_json_input_refuses_dim_above_bound(tmp_path, capsys):
+    big = [[int(r == c) for c in range(1025)] for r in range(1025)]
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"p": 3, "n": 1, "sigma": big}))
+    # J is built before the levels are read, so two empty levels suffice
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({"p": 3, "n": 1, "xi_in_F": False, "sigma": big,
+                                 "levels": [{}, {}]}))
+    for argv, what in (
+        (["jordan", "--in", str(module)], "module"),
+        (["decompose", "--in", str(datum)], "datum"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_line(captured.err) == (
+            f"cannot read {what}: dim 1025 exceeds the supported bound DIM_MAX = 1024\n"
+        )

@@ -94,11 +94,28 @@ def test_sum_reaches_full_space():
     assert s == fl.full_space(3, 2)
 
 
-def test_complement_requires_containment():
-    u = fl.span(3, 2, [[1, 0]])
-    v = fl.span(3, 2, [[0, 1]])
-    with pytest.raises(ValueError):
-        fl.sub_complement(u, v)
+def test_complement_of_the_intersection_brute_force():
+    # W complements U n V in U for any V, and is the complement of U n V
+    # itself (the intersect-first form)
+    rng = random.Random("comp-any-v")
+    seen = set()
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        amb = rng.randrange(1, 5)
+        u = fl.span(p, amb, [[rng.randrange(p) for _ in range(amb)] for _ in range(3)])
+        v_rows = [[rng.randrange(p) for _ in range(amb)] for _ in range(rng.randrange(3))]
+        if rng.randrange(2):
+            v_rows.extend(u.basis[: rng.randrange(u.dim + 1)])
+        v = fl.span(p, amb, v_rows)
+        w = fl.sub_complement(u, v)
+        u_set, w_set = space_as_set(u), space_as_set(w)
+        inter = u_set & space_as_set(v)
+        assert w_set <= u_set
+        sums = {tuple((np.add(a, b) % p).tolist()) for a in inter for b in w_set}
+        assert sums == u_set and len(inter) * len(w_set) == len(u_set)
+        assert w == fl.sub_complement(u, fl.sub_intersect(u, v))
+        seen.add(u.contains_space(v))
+    assert seen == {False, True}
 
 
 def test_preimage_identity_and_zero():

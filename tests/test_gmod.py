@@ -180,6 +180,13 @@ def test_independent_sum_check():
         gm.independent_sum_check(m2, [not_invariant])
 
 
+def test_make_module_refuses_dim_above_bound():
+    # n = 0 keeps the order check to sigma - 1 itself
+    assert gm.make_module(3, 0, fl.identity(fl.DIM_MAX)).dim == fl.DIM_MAX
+    with pytest.raises(ValueError, match="dim 1025 exceeds the supported bound DIM_MAX"):
+        gm.make_module(3, 0, fl.identity(fl.DIM_MAX + 1))
+
+
 def test_free_complement_equal_inputs():
     m = gm.make_module(2, 1, block_sigma(2, [2, 2]))
     u = fl.span(2, 4, fl.identity(4))

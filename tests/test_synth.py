@@ -181,13 +181,25 @@ SYNTH_DIGESTS = {
         "2589e2001fbdeda357dd4d83813657fea48651b428769e5e7f756c7dab00d585",
         "68172415cd15ace1cf3f2f9e04f78aa66779fb5a805f0bd0c7f556b5ad4b67c6",
     ),
+    # n = 3 with the X line among the covered norm classes
+    SynthParams(p=2, n=3, m=1, e=(1, 2, 1, 1), shuffle_seed=3): (
+        "7907d1938725549522f88c4969260389b306ee7aa57da4ba785f3a5d14e1b981",
+        "3539489d4d380a6683eb119a4fad6c098e09ee6077ca38bf0dc9699b04ec23c0",
+        "4675e2ecb524464571af35ca70147b362164008c3b79ffbd23dbce1a37843e01",
+    ),
+    SynthParams(p=3, n=3, m=0, e=(2, 1, 1, 1)): (
+        "9ba049a9de3937284ade269b9de102c49271fcf5a3ebe6df94914fc57b8d4806",
+        "8619ec4eec55f1d391eeeb07afd53ef2b0c0790efa87d31b46b4dbeae67464d1",
+        "edc4575b2ea26b299e0f6378390aef8d9e068f8585a0c17d6ddba7d61013da49",
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "params",
     list(SYNTH_DIGESTS),
-    ids=["no-xi", "p2n1-no-norm", "m-inf", "m1", "shuffled", "shuffled-no-xi", "shuffled-m-inf"],
+    ids=["no-xi", "p2n1-no-norm", "m-inf", "m1", "shuffled", "shuffled-no-xi", "shuffled-m-inf",
+         "n3-m1-shuffled", "n3-m0"],
 )
 def test_synth_json_is_pinned(params):
     d = synthesize(params)
