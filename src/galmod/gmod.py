@@ -40,8 +40,7 @@ def memo(cache: dict, key, compute):
 
 
 def make_module(p: int, n: int, sigma) -> GModule:
-    """Validated GModule; rejects actions whose order does not divide p^n
-    and a dimension past fl.DIM_MAX."""
+    """Validated GModule; rejects dim > fl.DIM_MAX and an order not dividing p^n."""
     fl.check_prime(p)
     if n < 0:
         raise ValueError("tower height must be >= 0")
