@@ -96,7 +96,8 @@ def decompose(d: GaloisDatum) -> Decomposition:
     y_generators: list[tuple[int, Array]] = []
     for i in range(n, -1, -1):
         fresh = fl.sub_complement(filtration[i], covered)
-        covered = fl.sub_sum(covered, fresh)
+        if i:  # no level below 0 reads covered
+            covered = fl.sub_sum(covered, fresh)
         lift_op = d.op_pow(p**i - 1)
         source = d.eps_image(i)
         for z in fresh.basis:

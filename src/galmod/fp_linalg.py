@@ -277,14 +277,49 @@ def random_invertible(p: int, dim: int, rng: random.Random) -> Array:
             return mat
 
 
+class Factored:
+    """A x = b over F_p for one A and many b: one elimination, then one
+    matrix-vector product per b.
+
+    The RREF of [A | I] is [R | E] with R = E A the RREF of A and E
+    invertible; its pivots left of column n are A's pivot columns.  For
+    each b, c = E b.  ``solve(b)`` returns exactly what ``solve(a, b, p)``
+    returns, None included.  E is invertible, so b lies in the column
+    space of A exactly when c is zero below the rank.  A's pivot columns
+    are independent, so a solution with every free variable 0 is
+    unique: x[pivots] = c[:rank], which is also what ``solve`` reads off
+    the RREF of [A | b].
+    """
+
+    def __init__(self, a: Array, p: int):
+        a = asmod(a, p)
+        m, n = a.shape
+        r, pivots = rref(np.concatenate([a, identity(m)], axis=1), p)
+        self.p = p
+        self.shape = (m, n)
+        self.pivots = [col for col in pivots if col < n]
+        self.e = r[:, n:].copy()
+
+    def solve(self, b: Array):
+        m, n = self.shape
+        b = asmod(b, self.p)
+        if b.shape != (m,):
+            raise ValueError(f"dimension mismatch: A is {m}x{n}, b has length {b.shape}")
+        c = matmul(self.e, b, self.p)
+        rank = len(self.pivots)
+        if c[rank:].any():
+            return None
+        x = np.zeros(n, dtype=np.int64)
+        x[self.pivots] = c[:rank]
+        return x
+
+
 def inverse(a: Array, p: int) -> Array:
     """The inverse of a square matrix over F_p; ValueError if singular."""
-    n = a.shape[0]
-    aug = np.concatenate([a % p, identity(n)], axis=1)
-    r, pivots = rref(aug, p)
-    if pivots != list(range(n)):
+    factored = Factored(a, p)
+    if factored.pivots != list(range(a.shape[0])):
         raise ValueError("matrix not invertible")
-    return r[:, n:]
+    return factored.e
 
 
 class Echelon:

@@ -78,10 +78,13 @@ and a new basis class at each remaining slot.  Each step reads the level
 and leading residue of u - 1 from the coefficients of w = unit - 1, with
 no product: w has valuation t = e*v + k, and its lead is (w / p^v)[:f]
 mod p when pi = p, or (w_k / p^v) u^-v mod p when pi = x, for the unit
-u of pi^e = p*u.  Each level keeps the factors its walk cancels with,
-built on first use: the pair (base, base^-p) of a free cancellation by
-(level s, solved coordinates mod p), and the power c of the inverse of
-unit basis record idx by (idx, c).
+u of pi^e = p*u.  Each step solves the system of its level s (the leads
+of the basis records at s beside the free map at s) by one matrix-vector
+product: the level factors that system once per (s, number of records at
+s).  Each level also keeps the factors its walk cancels with, built on
+first use: the pair (base, base^-p) of a free cancellation by (level s,
+solved coordinates mod p), and the power c of the inverse of unit basis
+record idx by (idx, c).
 The class basis is built from pi_i^j as a running product, with each
 residue basis vector lifted once.  Membership in the p-th
 powers is decided by the same walk at the top level (pth_root): x is a
@@ -850,12 +853,17 @@ class _LevelClasses:
     """Echelonized basis of K_i^x/(K_i^x)^p, with coordinates.
 
     It keeps no tower, so the tower that keeps it is in no reference
-    cycle: the methods that do arithmetic take the tower first.  It keeps
-    the factors its walk (``_reduce``) cancels with, each built on first
-    use: by (s, solved coordinates mod p), the pair (base, base^-p) of the
-    p-th power that cancels level s, and by (idx, c), the power c of the
-    inverse of unit basis record idx.  unit_basis only grows, so a key
-    stays valid while _build appends records."""
+    cycle: the methods that do arithmetic take the tower first.  Besides
+    unit_basis, it keeps what its walk (``_reduce``) reads at each level:
+    - by level s, the indices of the unit basis records at s, in order;
+    - by (s, number of records at s), the system of level s factored
+      once (``fl.Factored``), or None when level s has neither a record
+      nor a free map;
+    - by (s, solved coordinates mod p), the pair (base, base^-p) of the
+      p-th power that cancels level s;
+    - by (idx, c), the power c of the inverse of unit basis record idx.
+    All but the first are built on first use.  unit_basis only grows, so
+    a key stays valid while _build appends records."""
 
     def __init__(self, tower: LocalTower, i: int):
         self.p = p = tower.p
@@ -875,7 +883,9 @@ class _LevelClasses:
         self._crit_map = self._artin_schreier_map(tower)
         # records: (reduced element, its inverse, filtration level, leading coords)
         self.unit_basis: list[tuple[LFElement, LFElement, int, Array]] = []
-        # the cancelling factors of _reduce (see the class docstring)
+        # what _reduce reads at each level (see the class docstring)
+        self._records_at: dict[int, list[int]] = {}
+        self._systems: dict[tuple[int, int], fl.Factored | None] = {}
         self._free_factors: dict[tuple, tuple[LFElement, LFElement]] = {}
         self._basis_factors: dict[tuple[int, int], LFElement] = {}
         self._build(tower)
@@ -919,6 +929,18 @@ class _LevelClasses:
             return self._frob_sub
         return None
 
+    def _system(self, s: int, idxs: list[int]) -> fl.Factored | None:
+        """The matrix [leads of the records idxs at level s | free map at
+        s], factored once per (s, len(idxs)); None when both are empty."""
+        key = (s, len(idxs))
+        if key not in self._systems:
+            cols = [self.unit_basis[idx][3][:, None] for idx in idxs]
+            free = self._free_map(s)
+            if free is not None:
+                cols.append(free)
+            self._systems[key] = fl.Factored(np.hstack(cols), self.p) if cols else None
+        return self._systems[key]
+
     def _free_factor(
         self, t: LocalTower, j: int, delta_coords: Array
     ) -> tuple[LFElement, LFElement]:
@@ -961,6 +983,10 @@ class _LevelClasses:
         a p-th power; else it is (level, leading coords) of the first
         level that neither the unit basis nor a p-th power cancels.  Each
         p-th power divided out is base^p, and base is appended to bases.
+        Each step solves the system of its level, [leads of the records
+        at s | free map at s] x = lead of u, by one matrix-vector product
+        through the level's factored form (``_system``): the same x that
+        ``fl.solve`` picks, with no elimination.
         """
         p = self.p
         coords = np.zeros(len(self.unit_basis), dtype=np.int64)
@@ -972,31 +998,21 @@ class _LevelClasses:
             if s <= prev:
                 raise AssertionError("reduction failed to advance the filtration")
             prev = s
-            same = [
-                (idx, rec[3]) for idx, rec in enumerate(self.unit_basis) if rec[2] == s
-            ]
-            free = self._free_map(s)
-            blocks = []
-            if same:
-                blocks.append(np.stack([lead for _, lead in same], axis=1))
-            if free is not None:
-                blocks.append(free)
-            sol = None
-            if blocks:
-                amat = np.concatenate(blocks, axis=1) % p
-                sol = fl.solve(amat, gamma, p)
+            idxs = self._records_at.get(s, [])
+            system = self._system(s, idxs)
+            sol = None if system is None else system.solve(gamma)
             if sol is None:
                 return coords, u, (s, gamma)
-            k = len(same)
-            for (idx, _), c in zip(same, sol[:k]):
-                c = int(c) % p
+            k = len(idxs)
+            for idx, c in zip(idxs, sol[:k]):
+                c = int(c)
                 if c:
                     coords[idx] = (coords[idx] + c) % p
                     factor = self._basis_factors.get((idx, c))
                     if factor is None:
                         factor = self._basis_factors[idx, c] = t.powi(self.unit_basis[idx][1], c)
                     u = t.mul(u, factor)
-            if free is not None and np.any(sol[k:] % p):
+            if sol[k:].any():
                 base, factor = self._free_factor(t, s, sol[k:])
                 if bases is not None:
                     bases.append(base)
@@ -1013,6 +1029,7 @@ class _LevelClasses:
                 _, red, lead = self._reduce(t, cand)
                 if lead is not None:
                     lv, coords = lead
+                    self._records_at.setdefault(lv, []).append(len(self.unit_basis))
                     self.unit_basis.append((red, t.inv(red), lv, coords))
 
     def class_of(self, t: LocalTower, x: LFElement) -> Array:

@@ -622,3 +622,45 @@ def test_kernel_intersect_and_preimage_eliminate_once(monkeypatch):
         calls.clear()
         result = op()
         assert result.dim > 0 and len(calls) == 1
+
+
+def _one_row_systems(p, rng):
+    """The systems of a class walk at f = 1: one row, the leads of a
+    level's records and its free map side by side."""
+    for cols in range(1, 7):
+        yield fl.zeros(1, cols)
+        yield rng.integers(0, p, (1, cols))
+        yield np.eye(1, cols, cols - 1, dtype=np.int64) * rng.integers(1, p)
+
+
+def test_factored_solve_returns_what_solve_returns():
+    for p in (2, 3, 5, 7):
+        rng = np.random.default_rng(p)
+        outcomes = set()
+        for a in (*_one_row_systems(p, rng), *_matrices(p, rng)):
+            factored = fl.Factored(a, p)
+            rows, cols = a.shape
+            consistent = [(a @ rng.integers(0, p, cols)) % p for _ in range(3)]
+            arbitrary = [rng.integers(0, p, rows) for _ in range(3)]
+            for b in (*consistent, *arbitrary, np.zeros(rows, dtype=np.int64)):
+                got, want = factored.solve(b), fl.solve(a, b, p)
+                outcomes.add(want is None)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert outcomes == {True, False}
+
+
+def test_factored_eliminates_once_and_checks_the_length_of_b(monkeypatch):
+    real = fl.rref
+    calls = []
+    monkeypatch.setattr(fl, "rref", lambda a, p: calls.append(a.shape) or real(a, p))
+    p = 5
+    a = np.random.default_rng(7).integers(0, p, (4, 6))
+    factored = fl.Factored(a, p)
+    for b in np.random.default_rng(8).integers(0, p, (10, 4)):
+        factored.solve(b)
+    assert calls == [(4, 10)]
+    with pytest.raises(ValueError):
+        factored.solve(np.zeros(5, dtype=np.int64))

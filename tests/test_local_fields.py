@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import weakref
 
 import numpy as np
@@ -275,6 +276,32 @@ def test_pth_root_reuses_the_free_factors_of_its_level(monkeypatch):
     fresh = make_tower(3, "cyclotomic", 2, 100)
     assert fresh._classes == {}
     assert set(fresh.classes(fresh.n)._free_factors) == built
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "unramified"])
+def test_class_walk_factors_each_system_once(monkeypatch, kind):
+    # cyclotomic: f = 1, one-row systems; unramified: f > 1, wider ones
+    fl = lf.fl
+    real_rref, real_solve = fl.rref, fl.solve
+    rrefs, walk_solves = [], []
+
+    def solve(a, b, p):
+        if sys._getframe(1).f_code.co_name == "_reduce":
+            walk_solves.append(a.shape)
+        return real_solve(a, b, p)
+
+    monkeypatch.setattr(fl, "rref", lambda a, p: rrefs.append(a.shape) or real_rref(a, p))
+    monkeypatch.setattr(fl, "solve", solve)
+    tw = make_tower(3, kind, 2)
+    levels = [tw.classes(i) for i in range(tw.n + 1)]
+    rows = {system.shape[0] for lc in levels for system in lc._systems.values() if system}
+    assert (rows == {1}) == (kind == "cyclotomic")
+    rounds = []
+    for _ in range(2):
+        rrefs.clear()
+        rounds.append([tw.class_of(lc.i, b).tolist() for lc in levels for b in lc.basis_elements])
+        assert walk_solves == []
+    assert rrefs == [] and rounds[0] == rounds[1]
 
 
 def test_no_root_of_unity_in_an_unramified_tower(unram3):
